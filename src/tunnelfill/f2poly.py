@@ -178,6 +178,19 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
     """Diagonalize m over F2[t]: returns (left, diag, right) with
     m = left @ diag @ right, the transforms invertible, and each diagonal
     entry dividing the next.
+
+    Pivot rule: move a minimum-degree entry of the remaining block to the
+    pivot and divide it out of its row and column. Any nonzero remainder
+    has smaller degree than the pivot, so the block's minimum is picked
+    again; the remainder is never swapped in mid-sweep. If the pivot clears
+    its row and column but does not divide the rest of the block, an
+    offending row is folded into the pivot row, which leaves a remainder on
+    the next pass. Every pivot is thus a minimum of its block and every
+    remainder lowers the pivot degree, so each position sees at most
+    deg(first pivot) + 1 pivots and each quotient has degree at most the
+    block's degree spread. This keeps the transforms' degrees near those of
+    m; swapping remainders in lets quotients compound instead, the
+    coefficient blowup of Kannan & Bachem (SIAM J. Comput. 8(4), 1979).
     """
     nrows, ncols = m.nrows, m.ncols
     a = [list(r) for r in m.rows]
@@ -228,27 +241,23 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
             break
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
-        # Chase remainders until the pivot clears its row and column.
-        while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q, r = pdivmod(a[i][t], a[t][t])
-                    add_row(t, i, q)
-                    if r:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q, r = pdivmod(a[t][j], a[t][t])
-                    add_col(t, j, q)
-                    if r:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
+        # Clear the pivot's row and column; a nonzero remainder has smaller
+        # degree than the pivot, so re-pick the minimum instead.
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q, r = pdivmod(a[i][t], a[t][t])
+                add_row(t, i, q)
+                dirty = dirty or r != 0
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                q, r = pdivmod(a[t][j], a[t][t])
+                add_col(t, j, q)
+                dirty = dirty or r != 0
+        if dirty:
+            continue
         # Pivot must divide the whole remaining block; if not, fold the
-        # offending row in and restart this pivot with a smaller degree.
+        # offending row in, which leaves a remainder for the next pass.
         offender = None
         for i in range(t + 1, nrows):
             for j in range(t + 1, ncols):

@@ -179,12 +179,6 @@ class BasedComplex:
                 return c
         return None
 
-    def arrows_from(self, gid: int) -> list[Arrow]:
-        return sorted(a for a in self.arrows if a.source == gid)
-
-    def arrows_into(self, gid: int) -> list[Arrow]:
-        return sorted(a for a in self.arrows if a.target == gid)
-
     def sorted_arrows(self) -> list[Arrow]:
         return sorted(self.arrows)
 

@@ -60,10 +60,6 @@ def _parse_entries(text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def format_sequence(seq: SignSequence | ExtendedSignSequence) -> str:
-    return str(seq)
-
-
 def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:
     """The plain-JSON shape of a complex; colors only when requested."""
     if complex.ring not in RING_NAMES:

@@ -41,7 +41,7 @@ from tunnelfill import (
     render_svg,
     serialize,
 )
-from tunnelfill.f2poly import PolyMatrix, pdet, pdivides, smith_normal_form
+from tunnelfill.f2poly import PolyMatrix, pdeg, pdet, pdivides, smith_normal_form
 from conftest import subcomplex, undirected_components
 
 
@@ -269,6 +269,8 @@ def test_criterion_9_snf_suite():
             assert pdivides(entries[i], entries[i + 1])
         assert pdet(left) == 1
         assert pdet(right) == 1
+        # Guards against coefficient blowup in the transforms.
+        assert all(pdeg(x) <= 64 for t in (left, right) for row in t.rows for x in row)
 
 
 @criterion(10, "serialization and rendering")
