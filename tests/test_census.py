@@ -1,4 +1,7 @@
+import hashlib
 import io
+
+import pytest
 
 from tunnelfill import census_rows, census_sequences, decide_row, write_census_csv
 from tunnelfill import SignSequence
@@ -26,6 +29,20 @@ class TestEnumeration:
             outputs.append(buffer.getvalue())
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("sequence;decision;arrows_added;obstruction_reason\n")
+
+    @pytest.mark.parametrize(
+        "n_max, a_max, rows, sha256",
+        [
+            (2, 3, 1332, "1eda90b6885dce77ec8480da75e2b2be142abbdea016b766791204dabac59d32"),
+            (3, 2, 4368, "1c31fe989c5c194512f7c1dbd81caef7e89347d3cd73fcf8b944b03304f927cf"),
+        ],
+    )
+    def test_csv_fingerprint_is_pinned(self, n_max, a_max, rows, sha256):
+        # Any change to a verdict, an arrow count or an obstruction reason
+        # changes the digest; a refactor must leave every row as it was.
+        buffer = io.StringIO()
+        assert write_census_csv(census_rows(n_max, a_max), buffer) == rows
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == sha256
 
     def test_row_fields(self):
         row = decide_row(SignSequence((-1, 1, 2, -1, 1, 2)))
