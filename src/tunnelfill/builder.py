@@ -15,9 +15,12 @@ Three stages:
    keeps nonnegative exponents. Arrow monomials are recomputed from the
    placement; the degree and d^2 checks validate the result.
 
-The published extension margin (one more than the longest arrow) can leave
-a unit-width gap at the seam for sequences mixing unit and maximal arrows,
-so ``realize`` elongates the extensions and retries when a stage fails.
+Both extension lengths are max|a_i| + 2, chosen up front. At the published
+margin, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
+unit exponent and leave an uncancellable corner at the seam. One more step
+lifts, doubles and glues every realizable sequence with n <= 3, |a_i| <= 4
+(114,270 of them) with the right homology. Explicit lengths are used as
+given; a typed ExtensionError or PlacementError says when they fail.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ from .standard import ExtendedSignSequence, SignSequence, build_extended, build_
 
 BLACK, RED, BLUE, GREEN = "black", "red", "blue", "green"
 
-MAX_PIPELINE_ATTEMPTS = 5
-
 
 @dataclass(frozen=True)
 class ExtensionParams:
@@ -68,13 +69,11 @@ class ExtensionParams:
         if self.n1 < 1 or self.n2 < 1:
             raise ConstructionError("extension lengths must be positive")
 
-    def enlarged(self, by: int) -> "ExtensionParams":
-        return ExtensionParams(self.n1 + by, self.n2 + by)
-
 
 def default_extension_params(seq: SignSequence) -> ExtensionParams:
-    bound = seq.max_abs + 1
-    return ExtensionParams(bound, bound)
+    """max|a_i| + 2 at both ends; the module docstring says why."""
+    length = seq.max_abs + 2
+    return ExtensionParams(length, length)
 
 
 def glue_offset(seq: SignSequence) -> int:
@@ -88,8 +87,8 @@ def glue_offset(seq: SignSequence) -> int:
 def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRealization:
     """Lift the extended complex C(n1 | seq | -n2) to the level-2 ring.
 
-    Raises ExtensionError when the lift fails; elongating the extensions
-    always repairs this.
+    Raises ExtensionError when the lift fails, which lengths of
+    max|a_i| + 1 can cause; ``default_extension_params`` avoids it.
     """
     bound = seq.max_abs + 1
     if params.n1 < bound or params.n2 < bound:
@@ -132,36 +131,29 @@ def double(lifted: BasedComplex) -> DoubledComplex:
                 )
 
     count = len(lifted.generators)
-    x_gens = [
-        Generator(g.gid, g.name, g.grading) for g in lifted.generators
-    ]
-    y_gens = [
+    y_gens = tuple(
         Generator(
             count + g.gid,
             "y" + g.name.removeprefix("x"),
             g.grading.shifted(-1, -1),
         )
         for g in lifted.generators
-    ]
+    )
 
-    arrows: list[Arrow] = []
+    # Every arrow of the doubled complex, with its color.
     colors: dict[Arrow, str] = {}
-
-    def put(arrow: Arrow, color: str):
-        arrows.append(arrow)
-        colors[arrow] = color
-
     for a in lifted.arrows:
-        put(a, BLACK)
-        put(Arrow(count + a.source, a.monomial, count + a.target), RED)
+        colors[a] = BLACK
+        colors[Arrow(count + a.source, a.monomial, count + a.target)] = RED
     for gid in range(count):
-        put(Arrow(count + gid, Monomial(1, 1), gid), BLUE)
+        colors[Arrow(count + gid, Monomial(1, 1), gid)] = BLUE
     for x, terms in square.items():
-        for (y, mono), _ in terms.items():
-            put(Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y), GREEN)
+        for y, mono in terms:
+            colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
-    doubled = make_complex(RINF, tuple(x_gens + y_gens), arrows, colors)
-    if len(doubled.arrows) != len(arrows):
+    doubled = make_complex(RINF, lifted.generators + y_gens, colors, colors)
+    expected = 2 * len(lifted.arrows) + count + sum(map(len, square.values()))
+    if len(doubled.arrows) != expected:
         raise InternalError("doubling produced colliding arrows")
     return DoubledComplex(
         doubled,
@@ -213,7 +205,7 @@ def glue(
         du, dv = p[0] - q[0], p[1] - q[1]
         if du < 0 or dv < 0 or (du == 0 and dv == 0):
             raise PlacementError(
-                f"placement forces exponents ({du}, {dv}); enlarge the extensions"
+                f"placement forces exponents ({du}, {dv}); the extensions are too short"
             )
         return Monomial(du, dv)
 
@@ -223,7 +215,7 @@ def glue(
     new_arrows: list[Arrow] = []
     new_colors: dict[Arrow, str] = {}
     for a in sorted(complex.arrows):
-        color = complex.color_of(a)
+        color = complex.colors.get(a)
         if a.source in dropped:
             raise InternalError(f"unexpected arrow out of a dropped endpoint: {a}")
         src = a.source
@@ -282,26 +274,15 @@ def realize(
     """Decide ``seq`` and, when liftable, build a full realization of its
     local equivalence class with the homology contract.
 
-    Returns the tunnel filler's NotRealizable outcome otherwise.
+    Returns the tunnel filler's NotRealizable outcome otherwise. Raises
+    ExtensionError or PlacementError when explicit ``params`` do not work.
     """
     outcome = partial_realize(build_standard(seq))
     if isinstance(outcome, NotRealizable):
         return outcome
 
     params = params or default_extension_params(seq)
-    bump = abs(glue_offset(seq)) + 1
-    failure: Exception | None = None
-    for _ in range(MAX_PIPELINE_ATTEMPTS):
-        try:
-            lifted = extend_and_realize(seq, params)
-            glued = glue(double(lifted.complex), seq)
-        except (ExtensionError, PlacementError) as exc:
-            failure = exc
-            params = params.enlarged(bump)
-            continue
-        if not has_correct_homology(glued):
-            raise InternalError(f"realization of {seq} has the wrong homology")
-        return glued
-    raise InternalError(
-        f"pipeline failed for {seq} after {MAX_PIPELINE_ATTEMPTS} attempts: {failure}"
-    )
+    glued = glue(double(extend_and_realize(seq, params).complex), seq)
+    if not has_correct_homology(glued):
+        raise InternalError(f"realization of {seq} has the wrong homology")
+    return glued

@@ -30,8 +30,8 @@ class OracleTooLargeError(TunnelFillError):
 
 
 class ExtensionError(TunnelFillError):
-    """The extended complex unexpectedly failed to lift; retry with
-    longer extensions."""
+    """The extended complex failed to lift at the given extension lengths;
+    ``obstructions`` holds the filler's reasons."""
 
     def __init__(self, message, obstructions=()):
         super().__init__(message)

@@ -67,6 +67,13 @@ class PartialRealization:
     complex: BasedComplex
     added: tuple[ForcedArrowEvent, ...]
 
+    def __init__(self, complex: BasedComplex, added: tuple[ForcedArrowEvent, ...]):
+        # Written out, not generated, for the reason BasedComplex gives:
+        # every decision builds one.
+        fields = self.__dict__
+        fields["complex"] = complex
+        fields["added"] = added
+
     @property
     def added_arrows(self) -> frozenset[Arrow]:
         return frozenset(e.added for e in self.added)
@@ -95,8 +102,9 @@ def canonicalize_schedule(pending: Sequence[Cause]) -> tuple[Cause, ...]:
     return tuple(sorted(pending, key=_cause_key))
 
 
-def _contributing_paths(complex, out, cause):
+def _contributing_paths(complex, cause):
     x, mono, y = cause
+    out = complex.outgoing
     paths = []
     for first in out.get(x, ()):
         for second in out.get(first.target, ()):
@@ -112,9 +120,8 @@ def _unique_adjacent(complex, gid, kind):
     """The at-most-one horizontal (resp. vertical) arrow touching gid."""
     found = [
         a
-        for a in complex.sorted_arrows()
-        if (a.source == gid or a.target == gid)
-        and (a.monomial.is_horizontal if kind == "h" else a.monomial.is_vertical)
+        for a in (*complex.outgoing.get(gid, ()), *complex.incoming.get(gid, ()))
+        if (a.monomial.is_horizontal if kind == "h" else a.monomial.is_vertical)
     ]
     if len(found) > 1:
         raise InternalError(
@@ -233,11 +240,10 @@ def partial_realize(
         if any(c not in pending for c in selected):
             raise InternalError("scheduler selected a cause that is not pending")
 
-        out = current.out_adjacency()
         obstructions: list[Obstruction] = []
         stage_events: list[ForcedArrowEvent] = []
         for cause in selected:
-            paths = _contributing_paths(current, out, cause)
+            paths = _contributing_paths(current, cause)
             if len(paths) != 1:
                 raise InternalError(
                     f"cause {cause} has {len(paths)} contributing paths; expected 1"

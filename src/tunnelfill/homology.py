@@ -154,7 +154,7 @@ def conjugate(complex: BasedComplex) -> BasedComplex:
         a: Arrow(a.source, Monomial(a.monomial.v, a.monomial.u), a.target)
         for a in complex.arrows
     }
-    colors = ((swap[a], c) for a, c in complex.colors)
+    colors = {swap[a]: c for a, c in complex.colors.items()}
     return make_complex(complex.ring, gens, swap.values(), colors)
 
 
@@ -195,7 +195,8 @@ def find_based_isomorphism(
     else:
         shifts = [(0, 0)]
 
-    out1 = first.out_adjacency()
+    out1 = first.outgoing
+    in1 = first.incoming
     for du, dv in shifts:
         def key1(g: Generator):
             return (g.grading.gu + du, g.grading.gv + dv, prof1[g.gid])
@@ -221,12 +222,11 @@ def find_based_isomorphism(
                     second, target, a.monomial, mapping[a.target]
                 ):
                     return False
-            for other, image in mapping.items():
-                for a in out1.get(other, ()):
-                    if a.target == gid and not _has_arrow(
-                        second, image, a.monomial, target
-                    ):
-                        return False
+            for a in in1.get(gid, ()):
+                if a.source in mapping and not _has_arrow(
+                    second, mapping[a.source], a.monomial, target
+                ):
+                    return False
             return True
 
         def extend(i: int) -> bool:

@@ -33,16 +33,18 @@ def lattice_positions(
     if not complex.generators:
         return {}
     pos: dict[int, Position] = {complex.generators[0].gid: (0, 0)}
-    out = complex.out_adjacency()
-    inc = complex.in_adjacency()
+    out = complex.outgoing
+    inc = complex.incoming
     queue = deque([complex.generators[0].gid])
     while queue:
         g = queue.popleft()
         x, y = pos[g]
         neighbors = []
-        for a in out.get(g, ()):
+        # Sorted, so the first path to reach a generator, and with it every
+        # position, does not depend on set iteration order.
+        for a in sorted(out.get(g, ())):
             neighbors.append((a.target, (x - a.monomial.u, y - a.monomial.v)))
-        for a in inc.get(g, ()):
+        for a in sorted(inc.get(g, ())):
             sx, sy = x + a.monomial.u, y + a.monomial.v
             neighbors.append((a.source, (sx, sy)))
         for gid, p in neighbors:

@@ -85,8 +85,8 @@ def oracle_decide(complex: BasedComplex, cap: int = DEFAULT_CAP) -> OracleResult
         for (y, mono), _ in terms.items():
             base_mask ^= bit_of((x, mono, y))
 
-    out = complex.out_adjacency()
-    inc = complex.in_adjacency()
+    out = complex.outgoing
+    inc = complex.incoming
     deltas = []
     for cand in candidates:
         # Candidate-candidate compositions have both exponents >= 2 and die

@@ -32,7 +32,7 @@ def render_svg(complex: BasedComplex, labels: bool = True) -> str:
         # Arrows end at the exact lattice displacement; for an essentially
         # infinite complex this may be a diagonal translate of the target dot.
         end = (src[0] - arrow.monomial.u, src[1] - arrow.monomial.v)
-        segments.append((src, end, complex.color_of(arrow)))
+        segments.append((src, end, complex.colors.get(arrow)))
 
     drawn = list(pos.values()) + [end for _, end, _ in segments] or [(0, 0)]
     min_x = min(p[0] for p in drawn)

@@ -13,7 +13,6 @@ every arrow-set operation does run in C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -154,25 +153,48 @@ class Generator:
 TermList = dict[tuple[int, Monomial], int]
 
 
+class _Adjacency:
+    """Arrows by source (end 0) or target (end 2) id, built on the first
+    read and then kept in the instance dict, where later reads find it.
+    functools.cached_property would do, but before Python 3.12 its lock
+    costs more than building a small index."""
+
+    def __init__(self, end: int):
+        self.end = end
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, complex, owner=None) -> dict[int, list[Arrow]]:
+        if complex is None:
+            return self
+        index: dict[int, list[Arrow]] = {}
+        for a in complex.arrows:
+            index.setdefault(a[self.end], []).append(a)
+        complex.__dict__[self.name] = index
+        return index
+
+
 @dataclass(frozen=True)
 class BasedComplex:
     """Free based module with an endomorphism, over one truncation level.
 
-    Generator ids are their positions in ``generators``. ``colors`` is
-    display metadata only and never affects the algebra.
+    Generator ids are their positions in ``generators``. ``colors`` maps
+    arrows to display colors; it is metadata only and never affects the
+    algebra. Neither it nor the adjacency indexes may be mutated.
     """
 
     ring: RingLevel
     generators: tuple[Generator, ...]
     arrows: frozenset[Arrow]
-    colors: frozenset[tuple[Arrow, str]] = frozenset()
+    colors: dict[Arrow, str]
 
     def __init__(
         self,
         ring: RingLevel,
         generators: tuple[Generator, ...],
         arrows: frozenset[Arrow],
-        colors: frozenset[tuple[Arrow, str]] = frozenset(),
+        colors: dict[Arrow, str] | None = None,
     ):
         # Written out, not generated: the frozen dataclass __init__ assigns
         # each field through object.__setattr__, and every decision builds
@@ -181,7 +203,7 @@ class BasedComplex:
         fields["ring"] = ring
         fields["generators"] = generators
         fields["arrows"] = arrows
-        fields["colors"] = colors
+        fields["colors"] = {} if colors is None else colors
 
     def generator(self, gid: int) -> Generator:
         if not 0 <= gid < len(self.generators):
@@ -197,33 +219,20 @@ class BasedComplex:
     def grading(self, gid: int) -> Grading:
         return self.generator(gid).grading
 
-    def color_of(self, arrow: Arrow) -> str | None:
-        for a, c in self.colors:
-            if a == arrow:
-                return c
-        return None
-
     def sorted_arrows(self) -> list[Arrow]:
         return sorted(self.arrows)
 
-    def out_adjacency(self) -> dict[int, list[Arrow]]:
-        out: dict[int, list[Arrow]] = defaultdict(list)
-        for a in self.sorted_arrows():
-            out[a.source].append(a)
-        return out
-
-    def in_adjacency(self) -> dict[int, list[Arrow]]:
-        inc: dict[int, list[Arrow]] = defaultdict(list)
-        for a in self.sorted_arrows():
-            inc[a.target].append(a)
-        return inc
+    # Read with .get(gid, ()) and never mutated; each list keeps the arrow
+    # set's iteration order, so a caller that needs an order sorts.
+    outgoing = _Adjacency(0)
+    incoming = _Adjacency(2)
 
 
 def make_complex(
     ring: RingLevel,
     generators: Iterable[Generator],
     arrows: Iterable[Arrow],
-    colors: Mapping[Arrow, str] | Iterable[tuple[Arrow, str]] = (),
+    colors: Mapping[Arrow, str] | None = None,
 ) -> BasedComplex:
     """Assemble a complex, canonicalizing the arrow set.
 
@@ -254,8 +263,7 @@ def make_complex(
         counts[a] = counts.get(a, 0) ^ 1
     kept = frozenset(a for a, c in counts.items() if c)
 
-    color_pairs = colors.items() if isinstance(colors, Mapping) else colors
-    kept_colors = frozenset((a, c) for a, c in color_pairs if a in kept)
+    kept_colors = {a: c for a, c in (colors or {}).items() if a in kept}
     return BasedComplex(ring, gens, kept, kept_colors)
 
 
@@ -275,9 +283,7 @@ def add_arrows(
             arrows.add(a)
             if color is not None:
                 colors[a] = color
-    return BasedComplex(
-        complex.ring, complex.generators, frozenset(arrows), frozenset(colors.items())
-    )
+    return BasedComplex(complex.ring, complex.generators, frozenset(arrows), colors)
 
 
 def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
@@ -287,7 +293,7 @@ def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
             f"cannot reduce {complex.ring} to the larger ring {target}"
         )
     kept = frozenset(a for a in complex.arrows if not a.monomial.is_zero_in(target))
-    colors = frozenset((a, c) for a, c in complex.colors if a in kept)
+    colors = {a: c for a, c in complex.colors.items() if a in kept}
     return BasedComplex(target, complex.generators, kept, colors)
 
 
@@ -318,13 +324,10 @@ def differential_square(complex: BasedComplex) -> dict[int, TermList]:
 
     The complex is a chain complex exactly when the result is empty.
     """
-    arrows = complex.arrows
-    out: dict[int, list[Arrow]] = {}
-    for a in arrows:
-        out.setdefault(a.source, []).append(a)
+    out = complex.outgoing
     level = complex.ring.level
     squares: dict[int, TermList] = {}
-    for first in arrows:
+    for first in complex.arrows:
         seconds = out.get(first.target)
         if seconds is None:
             continue

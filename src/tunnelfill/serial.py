@@ -77,7 +77,7 @@ def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str
             "v": a.monomial.v,
         }
         if include_colors:
-            color = complex.color_of(a)
+            color = complex.colors.get(a)
             if color is not None:
                 entry["color"] = color
         arrows.append(entry)

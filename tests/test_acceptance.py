@@ -12,7 +12,6 @@ import time
 
 from tunnelfill import (
     ExtendedSignSequence,
-    ExtensionError,
     Monomial,
     NotRealizable,
     PartialRealization,
@@ -114,7 +113,7 @@ def test_criterion_2_worked_examples():
         (c.generator(a.source).name, a.monomial.u, a.monomial.v,
          c.generator(a.target).name)
         for a in c.arrows
-        if c.color_of(a) == "added"
+        if c.colors.get(a) == "added"
     }
     assert added == {("x3", 1, 1, "x0"), ("x6", 1, 1, "x3")}
     witness = [
@@ -227,12 +226,7 @@ def test_criterion_7_doubling_reduction():
             if isinstance(partial_realize(build_standard(seq)), NotRealizable):
                 continue
             params = default_extension_params(seq)
-            try:
-                lifted = extend_and_realize(seq, params)
-            except ExtensionError:
-                # Unit-width gap at the seam; elongating always repairs it.
-                params = params.enlarged(2)
-                lifted = extend_and_realize(seq, params)
+            lifted = extend_and_realize(seq, params)
             doubled = double(lifted.complex)
             reduced = reduce_to(doubled.complex, R1)
             pieces = undirected_components(reduced)

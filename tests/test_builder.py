@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from tunnelfill import (
     glue_offset,
     has_correct_homology,
     lift_to,
+    partial_realize,
     realize,
     reduce_to,
 )
@@ -66,9 +68,24 @@ class TestExtension:
             extend_and_realize(EXAMPLE, ExtensionParams(1, 4))
 
     def test_long_arrow_sequences_lift_at_the_minimum(self):
+        # max|a_i| + 1, one step below the default.
         seq = SignSequence((2, 2, -3, 2))
-        lifted = extend_and_realize(seq, default_extension_params(seq))
+        lifted = extend_and_realize(seq, ExtensionParams(4, 4))
         assert differential_square(lifted.complex) == {}
+
+    def test_default_lengths_lift_every_small_realizable_sequence(self):
+        # At max|a_i| + 1, 84 of these sequences keep a unit gap at the seam
+        # and raise ExtensionError; max|a_i| + 2 lifts all of them.
+        values = [a for a in range(-4, 5) if a]
+        lifted = 0
+        for n in (1, 2):
+            for entries in itertools.product(values, repeat=2 * n):
+                seq = SignSequence(entries)
+                if isinstance(partial_realize(build_standard(seq)), NotRealizable):
+                    continue
+                extend_and_realize(seq, default_extension_params(seq))
+                lifted += 1
+        assert lifted == 2416
 
     def test_unit_gap_at_the_seam_needs_elongation(self):
         # The added end diagonal next to a maximal vertical arrow keeps a
@@ -95,14 +112,14 @@ class TestDoubling:
             (c.generator(a.source).name, a.monomial.u, a.monomial.v,
              c.generator(a.target).name)
             for a in c.arrows
-            if c.color_of(a) == "green"
+            if c.colors.get(a) == "green"
         )
         assert greens == [
             ("x5", 1, 3, "y-1"),
             ("x6", 1, 2, "y0"),
             ("x6", 2, 1, "y2"),
         ]
-        blues = [a for a in c.arrows if c.color_of(a) == "blue"]
+        blues = [a for a in c.arrows if c.colors.get(a) == "blue"]
         assert len(blues) == len(lifted.complex.generators)
         for a in blues:
             assert (a.monomial.u, a.monomial.v) == (1, 1)
@@ -156,12 +173,12 @@ class TestDoubling:
         lifted = extend_and_realize(seq, default_extension_params(seq))
         doubled = double(lifted.complex)
         c = doubled.complex
-        out = c.out_adjacency()
+        out = c.outgoing
         paths = Counter()
         for first in c.arrows:
             for second in out.get(first.target, ()):
                 key = (first.source, first.monomial * second.monomial, second.target)
-                pair = (c.color_of(first), c.color_of(second))
+                pair = (c.colors.get(first), c.colors.get(second))
                 paths[(key, pair)] += 1
 
         terms = {key for key, _ in paths}

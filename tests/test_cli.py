@@ -1,6 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 from tunnelfill.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -84,6 +88,16 @@ class TestRealizeVerifyRender:
         assert out.startswith("NOT_REALIZABLE")
         assert not doc.exists()
 
+    def test_explicit_lengths_too_short_are_an_error(self, capsys, tmp_path):
+        # Lengths given on the command line are used as given, never enlarged.
+        doc = tmp_path / "g.json"
+        code, _, err = run(
+            capsys, "realize", "-s", "1,-2,2,-1", "-o", str(doc), "--n1", "3", "--n2", "3"
+        )
+        assert code == 1
+        assert "error:" in err and "did not lift" in err
+        assert not doc.exists()
+
     def test_custom_extension_lengths(self, capsys, tmp_path):
         doc = tmp_path / "g.json"
         code, out, _ = run(
@@ -124,3 +138,46 @@ class TestCensus:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert sum(1 for line in lines if ";REALIZABLE;" in line) == 2
+
+    def test_rows_over_the_oracle_cap_are_skipped_and_counted(self, capsys, tmp_path):
+        out_path = tmp_path / "census.csv"
+        code, out, err = run(
+            capsys, "census", "--n", "2", "--max", "2", "--out", str(out_path),
+            "--oracle", "--cap", "0",
+        )
+        assert code == 0, err
+        assert err == ""
+        assert out.splitlines() == [
+            f"wrote 272 rows (88 REALIZABLE) to {out_path}",
+            "oracle cross-check passed on 172 rows; 100 rows beyond the cap of 0 skipped",
+        ]
+        assert len(out_path.read_text().splitlines()) == 273
+
+
+def readme_commands():
+    """Each ``tunnelfill`` line of the README "Command line" block, as an
+    argument list, with the ``# ...`` output lines written under it."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("tunnelfill "):
+            commands.append((shlex.split(line)[1:], []))
+        elif line.startswith("# "):
+            commands[-1][1].append(line[2:])
+    return commands
+
+
+def test_readme_command_line_block_prints_what_it_says(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv, _ in commands] == [
+        "decide", "decide", "realize", "verify", "render", "census"
+    ]
+    for argv, expected in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert expected, argv
+        printed = out.splitlines()
+        for line in expected:
+            assert line in printed, (argv, line)

@@ -60,7 +60,7 @@ class TestWorkedExamples:
         added = {
             (c.generator(a.source).name, a.monomial.u, a.monomial.v, c.generator(a.target).name)
             for a in c.arrows
-            if c.color_of(a) == "added"
+            if c.colors.get(a) == "added"
         }
         assert added == {("x3", 1, 1, "x0"), ("x6", 1, 1, "x3")}
         assert obstructions_by_name(outcome) == [("x6", 3, 1, "x2", "no-adjacent-arrow")]

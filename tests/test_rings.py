@@ -171,8 +171,8 @@ class TestDifferentialSquare:
         after = differential_square(add_arrows(complex, [extra]))
 
         expected_delta = {}
-        out = complex.out_adjacency()
-        inc = complex.in_adjacency()
+        out = complex.outgoing
+        inc = complex.incoming
         for a in out.get(extra.target, ()):
             m = extra.monomial * a.monomial
             if not m.is_zero_in(complex.ring):

@@ -86,7 +86,7 @@ class TestRoundTrip:
         doc = to_document(outcome.complex)
         assert all("color" not in arrow for arrow in doc["arrows"])
         stripped = parse(serialize(outcome.complex))
-        assert stripped.colors == frozenset()
+        assert stripped.colors == {}
         assert stripped.arrows == outcome.complex.arrows
 
 
