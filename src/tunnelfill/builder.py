@@ -151,7 +151,7 @@ def double(lifted: BasedComplex) -> DoubledComplex:
         for y, mono in terms:
             colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
-    doubled = make_complex(RINF, lifted.generators + y_gens, colors, colors)
+    doubled = make_complex(RINF, lifted.generators + y_gens, colors.keys(), colors)
     expected = 2 * len(lifted.arrows) + count + sum(map(len, square.values()))
     if len(doubled.arrows) != expected:
         raise InternalError("doubling produced colliding arrows")

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 
 import pytest
@@ -16,6 +15,7 @@ from tunnelfill import (
     SignSequence,
     build_extended,
     build_standard,
+    census_sequences,
     check_correct_homology,
     check_symmetry,
     default_extension_params,
@@ -76,15 +76,12 @@ class TestExtension:
     def test_default_lengths_lift_every_small_realizable_sequence(self):
         # At max|a_i| + 1, 84 of these sequences keep a unit gap at the seam
         # and raise ExtensionError; max|a_i| + 2 lifts all of them.
-        values = [a for a in range(-4, 5) if a]
         lifted = 0
-        for n in (1, 2):
-            for entries in itertools.product(values, repeat=2 * n):
-                seq = SignSequence(entries)
-                if isinstance(partial_realize(build_standard(seq)), NotRealizable):
-                    continue
-                extend_and_realize(seq, default_extension_params(seq))
-                lifted += 1
+        for seq in census_sequences(2, 4):
+            if isinstance(partial_realize(build_standard(seq)), NotRealizable):
+                continue
+            extend_and_realize(seq, default_extension_params(seq))
+            lifted += 1
         assert lifted == 2416
 
     def test_unit_gap_at_the_seam_needs_elongation(self):
