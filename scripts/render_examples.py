@@ -28,10 +28,10 @@ def slug(entries) -> str:
     return "C(" + ",".join(str(a) for a in entries) + ")"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="diagrams", help="output directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -4,26 +4,14 @@ The package decides whether the local equivalence class of a standard
 complex C(a_1, ..., a_2n) admits a bigraded chain complex representative
 over F2[U, V] with the expected homology, constructs such a representative
 when one exists, and verifies every output independently.
+
+``__all__`` is the public API: what decide, realize, verify, census and
+render take and return, and the typed errors. Everything else is imported
+from its module, e.g. ``from tunnelfill.rings import R2, lift_to``.
 """
 
-from .builder import (
-    DoubledComplex,
-    ExtensionParams,
-    default_extension_params,
-    double,
-    extend_and_realize,
-    glue,
-    glue_offset,
-    realize,
-)
-from .census import (
-    CensusRow,
-    census_rows,
-    census_sequences,
-    cross_check_with_oracle,
-    decide_row,
-    write_census_csv,
-)
+from .builder import ExtensionParams, realize
+from .census import CensusRow, census_rows, write_census_csv
 from .errors import (
     ConstructionError,
     DocumentError,
@@ -39,133 +27,69 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .filler import (
-    DecisionOutcome,
     ForcedArrowEvent,
     NotRealizable,
     Obstruction,
     PartialRealization,
-    canonicalize_schedule,
     decide,
-    forced_response,
-    partial_realize,
 )
-from .homology import (
-    HomologyReport,
-    QuotientChain,
-    check_correct_homology,
-    check_symmetry,
-    conjugate,
-    find_based_isomorphism,
-    has_correct_homology,
-    quotient_complex,
-)
-from .lattice import lattice_positions
-from .oracle import OracleResult, candidate_arrows, oracle_decide
+from .homology import HomologyReport, check_correct_homology, check_symmetry
+from .oracle import OracleResult, oracle_decide
 from .render import render_svg
 from .rings import (
-    R1,
-    R2,
-    RINF,
     Arrow,
     BasedComplex,
     Generator,
     Grading,
     Monomial,
-    RingLevel,
-    add_arrows,
-    coefficient,
     degree_violations,
     differential_square,
-    is_chain_complex,
-    lift_to,
-    make_complex,
-    reduce_to,
 )
-from .serial import parse, parse_document, parse_sequence, serialize, to_document
-from .standard import (
-    ExtendedSignSequence,
-    SignSequence,
-    build_extended,
-    build_standard,
-    candidate_monomial,
-)
+from .serial import parse, parse_sequence, serialize
+from .standard import ExtendedSignSequence, SignSequence, build_standard
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arrow",
-    "BasedComplex",
-    "CensusRow",
-    "ConstructionError",
-    "DecisionOutcome",
-    "DocumentError",
-    "DoubledComplex",
+    "SignSequence",
     "ExtendedSignSequence",
-    "ExtensionError",
-    "ExtensionParams",
-    "ForcedArrowEvent",
+    "parse_sequence",
+    "BasedComplex",
+    "Arrow",
+    "Monomial",
     "Generator",
     "Grading",
+    "build_standard",
+    "decide",
+    "PartialRealization",
+    "NotRealizable",
+    "ForcedArrowEvent",
+    "Obstruction",
+    "realize",
+    "ExtensionParams",
+    "differential_square",
+    "degree_violations",
+    "check_correct_homology",
     "HomologyReport",
+    "check_symmetry",
+    "parse",
+    "serialize",
+    "render_svg",
+    "census_rows",
+    "write_census_csv",
+    "CensusRow",
+    "oracle_decide",
+    "OracleResult",
+    "TunnelFillError",
+    "ConstructionError",
+    "DocumentError",
+    "ExtensionError",
     "InternalError",
     "InvalidLiftError",
     "InvalidReductionError",
-    "Monomial",
-    "NotRealizable",
-    "Obstruction",
-    "OracleResult",
     "OracleTooLargeError",
-    "PartialRealization",
     "PlacementError",
-    "QuotientChain",
-    "R1",
-    "R2",
-    "RINF",
     "RenderError",
-    "RingLevel",
     "SequenceParseError",
-    "SignSequence",
-    "TunnelFillError",
     "UnknownGeneratorError",
-    "add_arrows",
-    "build_extended",
-    "build_standard",
-    "candidate_arrows",
-    "candidate_monomial",
-    "canonicalize_schedule",
-    "census_rows",
-    "census_sequences",
-    "check_correct_homology",
-    "check_symmetry",
-    "coefficient",
-    "conjugate",
-    "cross_check_with_oracle",
-    "decide",
-    "decide_row",
-    "default_extension_params",
-    "degree_violations",
-    "differential_square",
-    "double",
-    "extend_and_realize",
-    "find_based_isomorphism",
-    "forced_response",
-    "glue",
-    "glue_offset",
-    "has_correct_homology",
-    "is_chain_complex",
-    "lattice_positions",
-    "lift_to",
-    "make_complex",
-    "oracle_decide",
-    "parse",
-    "parse_document",
-    "parse_sequence",
-    "partial_realize",
-    "quotient_complex",
-    "realize",
-    "reduce_to",
-    "render_svg",
-    "serialize",
-    "to_document",
-    "write_census_csv",
 ]

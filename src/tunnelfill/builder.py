@@ -16,7 +16,7 @@ Three stages:
    placement; the degree and d^2 checks validate the result.
 
 Both extension lengths are max|a_i| + 2, chosen up front. At the published
-margin, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
+length, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
 unit exponent and leave an uncancellable corner at the seam. One more step
 lifts, doubles and glues every realizable sequence with n <= 3, |a_i| <= 4
 (114,270 of them) with the right homology. Explicit lengths are used as
@@ -49,7 +49,6 @@ from .rings import (
     Monomial,
     degree_violations,
     differential_square,
-    is_chain_complex,
     lift_to,
     make_complex,
 )
@@ -162,9 +161,7 @@ def double(lifted: BasedComplex) -> DoubledComplex:
     )
 
 
-def glue(
-    doubled: DoubledComplex, seq: SignSequence, margin: int | None = None
-) -> BasedComplex:
+def glue(doubled: DoubledComplex, seq: SignSequence) -> BasedComplex:
     """Merge the two extension endpoints into one far-away generator z.
 
     Every arrow keeps its endpoints (with both dropped generators replaced
@@ -173,8 +170,6 @@ def glue(
     a negative offset the x_2n+1 role does.
     """
     s = glue_offset(seq)
-    if margin is None:
-        margin = abs(s) + 2
     complex = doubled.complex
     pos = lattice_positions(complex, normalize=False, strict=True)
 
@@ -188,7 +183,8 @@ def glue(
 
     min_col = min(pos[g][0] for g in core)
     min_row = min(pos[g][1] for g in core)
-    z_pos = (min_col - margin - abs(s), min_row - margin - abs(s))
+    gap = 2 * abs(s) + 2
+    z_pos = (min_col - gap, min_row - gap)
     # The two drawn copies of z sit |s| diagonal steps apart; each endpoint
     # role reads its monomials from its own copy.
     head_anchor = (z_pos[0] - s, z_pos[1] - s) if s > 0 else z_pos
@@ -263,7 +259,7 @@ def glue(
     bad = degree_violations(glued)
     if bad:
         raise InternalError(f"glued complex breaks the degree equation at {bad[:3]}")
-    if not is_chain_complex(glued):
+    if differential_square(glued):
         raise InternalError("glued complex has nonzero d^2")
     return glued
 

@@ -9,7 +9,7 @@ from typing import IO, Iterator
 
 from .errors import ConstructionError
 from .filler import PartialRealization, partial_realize
-from .oracle import oracle_decide
+from .oracle import DEFAULT_CAP, oracle_decide
 from .rings import R2, lift_to
 from .standard import SignSequence, build_standard
 
@@ -76,18 +76,18 @@ def write_census_csv(rows: Iterator[CensusRow], out: IO[str]) -> int:
     return count
 
 
-def cross_check_with_oracle(row: CensusRow, cap: int = 20) -> str | None:
+def cross_check_with_oracle(row: CensusRow, cap: int = DEFAULT_CAP) -> str | None:
     """Re-decide one row with the subset-search oracle; returns a complaint
     string on disagreement, None when consistent."""
-    complex = lift_to(build_standard(row.sequence), R2)
-    result = oracle_decide(complex, cap=cap)
+    standard = build_standard(row.sequence)
+    result = oracle_decide(lift_to(standard, R2), cap=cap)
     if result.realizable != row.realizable:
         return (
             f"{row.sequence}: algorithm says {row.decision}, oracle says "
             f"{'REALIZABLE' if result.realizable else 'NOT_REALIZABLE'}"
         )
     if result.realizable:
-        outcome = partial_realize(build_standard(row.sequence))
+        outcome = partial_realize(standard)
         assert isinstance(outcome, PartialRealization)
         if not outcome.added_arrows <= result.witness_intersection():
             return (

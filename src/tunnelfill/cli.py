@@ -3,6 +3,11 @@
 Subcommands: decide, realize, verify, census, render. The exit status
 reports whether the computation ran, not the mathematical verdict; JSON
 output carries the verdict for scripting.
+
+census writes its CSV, then a summary: the row count (for a file), the
+forced-arrow counts of the realizable rows against the n^2 + n bound, the
+obstruction reasons of the others, and with --oracle the cross-check
+result. With --out - the CSV alone goes to stdout and the summary to stderr.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 
 from .builder import ExtensionParams, realize
 from .census import census_rows, cross_check_with_oracle, write_census_csv
 from .errors import OracleTooLargeError, TunnelFillError
 from .filler import NotRealizable, PartialRealization, decide
 from .homology import check_correct_homology, check_symmetry
+from .oracle import DEFAULT_CAP
 from .render import render_svg
 from .rings import degree_violations, differential_square
 from .serial import parse, parse_sequence, serialize
@@ -66,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest |a_i|")
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
     p.add_argument("--oracle", action="store_true", help="cross-check each row")
-    p.add_argument("--cap", type=int, default=20, help="oracle candidate cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle candidate cap")
 
     p = sub.add_parser("render", help="render a complex document as SVG")
     p.add_argument("file", help="complex document path")
@@ -204,11 +211,20 @@ def _census(args) -> int:
     rows = list(census_rows(args.n, args.max))
     if args.out == "-":
         write_census_csv(iter(rows), sys.stdout)
+        summary = sys.stderr
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
             count = write_census_csv(iter(rows), handle)
         realizable = sum(1 for r in rows if r.realizable)
+        summary = sys.stdout
         print(f"wrote {count} rows ({realizable} REALIZABLE) to {args.out}")
+    forced = Counter(r.arrows_added for r in rows if r.realizable)
+    reasons = Counter(
+        r.obstruction_reason.split(" at ")[0] for r in rows if r.obstruction_reason
+    )
+    bound = args.n * args.n + args.n
+    print(f"forced-arrow counts (bound {bound}): {dict(sorted(forced.items()))}", file=summary)
+    print(f"obstruction reasons: {dict(reasons.most_common())}", file=summary)
     if args.oracle:
         disagreements = skipped = 0
         for row in rows:
@@ -223,7 +239,10 @@ def _census(args) -> int:
         if disagreements:
             return 1
         beyond = f"; {skipped} rows beyond the cap of {args.cap} skipped" if skipped else ""
-        print(f"oracle cross-check passed on {len(rows) - skipped} rows{beyond}")
+        print(
+            f"oracle cross-check passed on {len(rows) - skipped} rows{beyond}",
+            file=summary,
+        )
     return 0
 
 

@@ -53,22 +53,6 @@ def pdivides(a: Poly, b: Poly) -> bool:
     return pmod(b, a) == 0
 
 
-def pgcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, pmod(a, b)
-    return a
-
-
-def pstr(a: Poly) -> str:
-    if a == 0:
-        return "0"
-    parts = []
-    for i in range(pdeg(a), -1, -1):
-        if a >> i & 1:
-            parts.append("1" if i == 0 else ("t" if i == 1 else f"t^{i}"))
-    return "+".join(parts)
-
-
 @dataclass(frozen=True)
 class PolyMatrix:
     rows: tuple[tuple[Poly, ...], ...]
@@ -85,14 +69,6 @@ class PolyMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "PolyMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:

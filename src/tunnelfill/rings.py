@@ -13,7 +13,6 @@ every arrow-set operation does run in C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -118,10 +117,6 @@ class Grading:
 
     gu: int
     gv: int
-
-    @property
-    def alexander(self) -> Fraction:
-        return Fraction(self.gu - self.gv, 2)
 
     def shifted(self, du: int, dv: int) -> "Grading":
         return Grading(self.gu + du, self.gv + dv)
@@ -308,15 +303,6 @@ def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     return BasedComplex(target, complex.generators, complex.arrows, complex.colors)
 
 
-def coefficient(complex: BasedComplex, x: int, m: Monomial, y: int) -> int:
-    """The pairing <d(x), U^a V^b y> in F2."""
-    complex.generator(x)
-    complex.generator(y)
-    if m.is_zero_in(complex.ring):
-        return 0
-    return 1 if Arrow(x, m, y) in complex.arrows else 0
-
-
 def differential_square(complex: BasedComplex) -> dict[int, TermList]:
     """d^2 of every generator, as nonempty term lists reduced in the ring,
     keyed by generator id in increasing order, each list sorted by
@@ -346,10 +332,6 @@ def differential_square(complex: BasedComplex) -> dict[int, TermList]:
     if not squares:
         return squares
     return {x: dict(sorted(t.items())) for x, t in sorted(squares.items()) if t}
-
-
-def is_chain_complex(complex: BasedComplex) -> bool:
-    return not differential_square(complex)
 
 
 def arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:

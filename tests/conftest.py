@@ -9,14 +9,12 @@ from tunnelfill import (
     Arrow,
     BasedComplex,
     Generator,
-    R2,
+    Monomial,
     SignSequence,
-    add_arrows,
     build_standard,
-    candidate_monomial,
-    lift_to,
-    make_complex,
 )
+from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
+from tunnelfill.standard import candidate_monomial
 
 hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True
@@ -53,8 +51,6 @@ def based_complexes(draw, max_n: int = 2, max_abs: int = 3):
 
 
 def arrow_by_names(complex: BasedComplex, source: str, u: int, v: int, target: str):
-    from tunnelfill import Monomial
-
     return Arrow(complex.id_of(source), Monomial(u, v), complex.id_of(target))
 
 

@@ -15,32 +15,27 @@ from tunnelfill import (
     Monomial,
     NotRealizable,
     PartialRealization,
-    R1,
-    R2,
     SignSequence,
-    build_extended,
     build_standard,
     census_rows,
     check_correct_homology,
     check_symmetry,
     decide,
-    default_extension_params,
     degree_violations,
     differential_square,
-    double,
-    extend_and_realize,
-    find_based_isomorphism,
-    lattice_positions,
-    lift_to,
     oracle_decide,
     parse,
-    partial_realize,
     realize,
-    reduce_to,
     render_svg,
     serialize,
 )
+from tunnelfill.builder import default_extension_params, double, extend_and_realize
 from tunnelfill.f2poly import PolyMatrix, pdeg, pdet, pdivides, smith_normal_form
+from tunnelfill.filler import partial_realize
+from tunnelfill.homology import find_based_isomorphism
+from tunnelfill.lattice import lattice_positions
+from tunnelfill.rings import R1, R2, lift_to, reduce_to
+from tunnelfill.standard import build_extended
 from conftest import subcomplex, undirected_components
 
 

@@ -1,0 +1,63 @@
+"""The public API: what ``from tunnelfill import *`` binds, and the README
+and script code that reaches the package through it."""
+
+import runpy
+from pathlib import Path
+
+import tunnelfill
+from tunnelfill import PartialRealization
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = {
+    # Sequences
+    "SignSequence", "ExtendedSignSequence", "parse_sequence",
+    # Complexes
+    "BasedComplex", "Arrow", "Monomial", "Generator", "Grading", "build_standard",
+    # Decide
+    "decide", "PartialRealization", "NotRealizable", "ForcedArrowEvent", "Obstruction",
+    # Realize
+    "realize", "ExtensionParams",
+    # Verify
+    "differential_square", "degree_violations", "check_correct_homology",
+    "HomologyReport", "check_symmetry",
+    # Files
+    "parse", "serialize", "render_svg",
+    # Census and oracle
+    "census_rows", "write_census_csv", "CensusRow", "oracle_decide", "OracleResult",
+    # Errors
+    "TunnelFillError", "ConstructionError", "DocumentError", "ExtensionError",
+    "InternalError", "InvalidLiftError", "InvalidReductionError",
+    "OracleTooLargeError", "PlacementError", "RenderError", "SequenceParseError",
+    "UnknownGeneratorError",
+}
+
+
+def test_star_import_binds_exactly_the_public_api():
+    namespace = {}
+    exec("from tunnelfill import *", namespace)
+    del namespace["__builtins__"]
+    assert len(PUBLIC) == 41
+    assert set(namespace) == PUBLIC
+    assert len(tunnelfill.__all__) == 41
+
+
+def test_readme_library_block_does_what_its_comments_say():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
+    assert comments == [
+        "PartialRealization", "17-generator complex", "both verdicts True"
+    ]
+    namespace = {}
+    exec(block, namespace)
+    assert isinstance(namespace["outcome"], PartialRealization)
+    assert len(namespace["glued"].generators) == 17
+    assert namespace["u_side"].verdict and namespace["v_side"].verdict
+
+
+def test_render_examples_writes_nine_diagrams(tmp_path, capsys):
+    script = runpy.run_path(str(ROOT / "scripts" / "render_examples.py"))
+    assert script["main"](["--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.svg"))) == 9
+    assert capsys.readouterr().out.endswith(f"diagrams written to {tmp_path}/\n")

@@ -9,28 +9,25 @@ from tunnelfill import (
     ExtensionError,
     ExtensionParams,
     NotRealizable,
-    R1,
-    R2,
-    RINF,
     SignSequence,
-    build_extended,
     build_standard,
-    census_sequences,
     check_correct_homology,
     check_symmetry,
-    default_extension_params,
     degree_violations,
     differential_square,
+    realize,
+)
+from tunnelfill.builder import (
+    default_extension_params,
     double,
     extend_and_realize,
-    find_based_isomorphism,
     glue_offset,
-    has_correct_homology,
-    lift_to,
-    partial_realize,
-    realize,
-    reduce_to,
 )
+from tunnelfill.census import census_sequences
+from tunnelfill.filler import partial_realize
+from tunnelfill.homology import find_based_isomorphism, has_correct_homology
+from tunnelfill.rings import R1, R2, RINF, lift_to, reduce_to
+from tunnelfill.standard import build_extended
 from conftest import sign_sequences, subcomplex, undirected_components
 
 EXAMPLE = SignSequence((-1, 1, 2, -1, 1, 3))

@@ -3,8 +3,8 @@ import io
 
 import pytest
 
-from tunnelfill import census_rows, census_sequences, decide_row, write_census_csv
-from tunnelfill import SignSequence
+from tunnelfill import SignSequence, census_rows, write_census_csv
+from tunnelfill.census import census_sequences, decide_row
 
 
 class TestEnumeration:

@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+from tunnelfill import SignSequence, build_standard, serialize
 from tunnelfill.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -73,8 +74,6 @@ class TestRealizeVerifyRender:
 
     def test_verify_reports_failures_without_error_exit(self, capsys, tmp_path):
         doc = tmp_path / "c.json"
-        from tunnelfill import SignSequence, build_standard, serialize
-
         ext = serialize(build_standard(SignSequence((2, 2))))
         doc.write_text(ext)
         code, out, _ = run(capsys, "verify", str(doc), "--check", "symmetry")
@@ -149,9 +148,30 @@ class TestCensus:
         assert err == ""
         assert out.splitlines() == [
             f"wrote 272 rows (88 REALIZABLE) to {out_path}",
+            "forced-arrow counts (bound 6): {0: 78, 1: 8, 2: 2}",
+            "obstruction reasons: {'no-adjacent-arrow': 84, 'insufficient-length': 72,"
+            " 'wrong-direction': 28}",
             "oracle cross-check passed on 172 rows; 100 rows beyond the cap of 0 skipped",
         ]
         assert len(out_path.read_text().splitlines()) == 273
+
+    def test_stdout_carries_the_csv_alone_and_stderr_the_summary(self, capsys):
+        code, out, err = run(
+            capsys, "census", "--n", "1", "--max", "1", "--out", "-", "--oracle"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "sequence;decision;arrows_added;obstruction_reason",
+            "-1,-1;NOT_REALIZABLE;0;no-adjacent-arrow at d2 x0 term U^1V^1 x2",
+            "-1,1;REALIZABLE;0;",
+            "1,-1;REALIZABLE;0;",
+            "1,1;NOT_REALIZABLE;0;no-adjacent-arrow at d2 x2 term U^1V^1 x0",
+        ]
+        assert err.splitlines() == [
+            "forced-arrow counts (bound 2): {0: 2}",
+            "obstruction reasons: {'no-adjacent-arrow': 2}",
+            "oracle cross-check passed on 4 rows",
+        ]
 
 
 def readme_commands():

@@ -4,19 +4,17 @@ import random
 from hypothesis import given
 
 from tunnelfill import (
+    Arrow,
     Monomial,
     NotRealizable,
     PartialRealization,
-    R1,
     SignSequence,
     build_standard,
-    canonicalize_schedule,
     decide,
     differential_square,
-    forced_response,
-    lift_to,
-    reduce_to,
 )
+from tunnelfill.filler import canonicalize_schedule, forced_response
+from tunnelfill.rings import R1, R2, lift_to, reduce_to
 from conftest import sign_sequences
 
 
@@ -92,8 +90,6 @@ class TestWorkedExamples:
 
 
 def test_forced_response_cases():
-    from tunnelfill import R2, Arrow, lift_to
-
     c = lift_to(build_standard(SignSequence((-1, 1, 2, -1, 1, 2))), R2)
     x = c.id_of
     cause = (x("x3"), Monomial(2, 1), x("x1"))

@@ -6,18 +6,19 @@ from tunnelfill import (
     Generator,
     Grading,
     Monomial,
-    R1,
     SignSequence,
     build_standard,
     check_correct_homology,
     check_symmetry,
+    realize,
+)
+from tunnelfill.homology import (
     conjugate,
     find_based_isomorphism,
     has_correct_homology,
-    make_complex,
     quotient_complex,
 )
-from tunnelfill.rings import Arrow
+from tunnelfill.rings import R1, RINF, Arrow, make_complex
 from conftest import disjoint_union, sign_sequences
 
 
@@ -91,8 +92,6 @@ class TestSymmetry:
         assert check_symmetry(build_standard(SignSequence((2, 2)))) is None
 
     def test_identity_witness_for_a_self_conjugate_complex(self):
-        from tunnelfill import RINF
-
         gens = (
             Generator(0, "a", Grading(1, 1)),
             Generator(1, "b", Grading(2, 2)),
@@ -149,7 +148,5 @@ class TestBasedIsomorphism:
 
 class TestRealizationHomology:
     def test_glued_output_passes(self):
-        from tunnelfill import realize
-
         glued = realize(SignSequence((2, 2)))
         assert has_correct_homology(glued)

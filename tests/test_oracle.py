@@ -7,16 +7,14 @@ from tunnelfill import (
     NotRealizable,
     OracleTooLargeError,
     PartialRealization,
-    R2,
     SignSequence,
-    add_arrows,
     build_standard,
-    candidate_arrows,
     degree_violations,
-    lift_to,
     oracle_decide,
-    partial_realize,
 )
+from tunnelfill.filler import partial_realize
+from tunnelfill.oracle import candidate_arrows
+from tunnelfill.rings import R2, add_arrows, lift_to
 from conftest import sign_sequences
 
 

@@ -5,16 +5,15 @@ from tunnelfill import (
     Generator,
     Grading,
     Monomial,
-    R1,
-    RINF,
     RenderError,
     SignSequence,
     build_standard,
-    lattice_positions,
-    make_complex,
+    decide,
     realize,
     render_svg,
 )
+from tunnelfill.lattice import lattice_positions
+from tunnelfill.rings import R1, RINF, make_complex
 
 
 class TestPositions:
@@ -68,8 +67,6 @@ class TestSvg:
         assert svg.count("<line") == len(c.arrows)
 
     def test_added_arrows_are_dashed(self):
-        from tunnelfill import decide
-
         outcome = decide(SignSequence((-1, 1, 2, -1, 1, 3)))
         svg = render_svg(outcome.complex)
         assert svg.count("stroke-dasharray") == len(outcome.added)

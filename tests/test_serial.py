@@ -4,21 +4,22 @@ import pytest
 from hypothesis import given
 
 from tunnelfill import (
+    ConstructionError,
     DocumentError,
     ExtendedSignSequence,
     ExtensionParams,
     SequenceParseError,
     SignSequence,
-    build_extended,
     build_standard,
     decide,
-    extend_and_realize,
     parse,
     parse_sequence,
     realize,
     serialize,
-    to_document,
 )
+from tunnelfill.builder import extend_and_realize
+from tunnelfill.serial import to_document
+from tunnelfill.standard import build_extended
 from conftest import sign_sequences
 
 
@@ -43,8 +44,6 @@ class TestParseSequence:
             parse_sequence("1,2,x,1")
 
     def test_odd_length_rejected(self):
-        from tunnelfill import ConstructionError
-
         with pytest.raises(ConstructionError):
             parse_sequence("1,2,3")
 

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given
 
 from tunnelfill import (
+    Arrow,
     ConstructionError,
     ExtendedSignSequence,
     SignSequence,
-    build_extended,
     build_standard,
-    candidate_monomial,
     degree_violations,
     differential_square,
-    has_correct_homology,
-    lattice_positions,
 )
+from tunnelfill.homology import has_correct_homology
+from tunnelfill.lattice import lattice_positions
+from tunnelfill.rings import add_arrows
+from tunnelfill.standard import build_extended, candidate_monomial
 from conftest import named_arrows, sign_sequences
 
 
@@ -54,13 +55,6 @@ class TestStandardGradings:
         assert grading_of(c, "x1") == (-1, -1)
         assert grading_of(c, "x2") == (-2, 0)
         assert named_arrows(c) == {("x1", 1, 0, "x0"), ("x1", 0, 1, "x2")}
-
-    def test_alexander_grading_is_half_integral(self):
-        from fractions import Fraction
-
-        c = build_standard(SignSequence((1, -1)))
-        assert c.grading(1).alexander == Fraction(0)
-        assert build_standard(SignSequence((2, 2))).grading(0).alexander == Fraction(-1)
 
 
 class TestShapes:
@@ -157,8 +151,6 @@ class TestCandidateMonomial:
 
     @given(sign_sequences(max_n=2, max_abs=3))
     def test_candidates_pass_the_degree_check(self, seq):
-        from tunnelfill import Arrow, add_arrows
-
         c = build_standard(seq)
         count = len(c.generators)
         for x in range(count):
