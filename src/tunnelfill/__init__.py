@@ -19,7 +19,6 @@ from .errors import (
     InternalError,
     InvalidLiftError,
     InvalidReductionError,
-    OracleTooLargeError,
     PlacementError,
     RenderError,
     SequenceParseError,
@@ -87,7 +86,6 @@ __all__ = [
     "InternalError",
     "InvalidLiftError",
     "InvalidReductionError",
-    "OracleTooLargeError",
     "PlacementError",
     "RenderError",
     "SequenceParseError",

@@ -20,10 +20,9 @@ from collections import Counter
 
 from .builder import ExtensionParams, realize
 from .census import census_rows, cross_check_with_oracle, write_census_csv
-from .errors import OracleTooLargeError, TunnelFillError
+from .errors import TunnelFillError
 from .filler import NotRealizable, PartialRealization, decide
 from .homology import check_correct_homology, check_symmetry
-from .oracle import DEFAULT_CAP
 from .render import render_svg
 from .rings import degree_violations, differential_square
 from .serial import parse, parse_sequence, serialize
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest |a_i|")
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
     p.add_argument("--oracle", action="store_true", help="cross-check each row")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle candidate cap")
 
     p = sub.add_parser("render", help="render a complex document as SVG")
     p.add_argument("file", help="complex document path")
@@ -226,23 +224,15 @@ def _census(args) -> int:
     print(f"forced-arrow counts (bound {bound}): {dict(sorted(forced.items()))}", file=summary)
     print(f"obstruction reasons: {dict(reasons.most_common())}", file=summary)
     if args.oracle:
-        disagreements = skipped = 0
+        disagreements = 0
         for row in rows:
-            try:
-                complaint = cross_check_with_oracle(row, cap=args.cap)
-            except OracleTooLargeError:
-                skipped += 1
-                continue
+            complaint = cross_check_with_oracle(row)
             if complaint:
                 disagreements += 1
                 print(f"oracle disagreement: {complaint}", file=sys.stderr)
         if disagreements:
             return 1
-        beyond = f"; {skipped} rows beyond the cap of {args.cap} skipped" if skipped else ""
-        print(
-            f"oracle cross-check passed on {len(rows) - skipped} rows{beyond}",
-            file=summary,
-        )
+        print(f"oracle cross-check passed on {len(rows)} rows", file=summary)
     return 0
 
 

@@ -25,10 +25,6 @@ class InternalError(TunnelFillError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-class OracleTooLargeError(TunnelFillError):
-    """The candidate set exceeds the subset-search cap."""
-
-
 class ExtensionError(TunnelFillError):
     """The extended complex failed to lift at the given extension lengths;
     ``obstructions`` holds the filler's reasons."""

@@ -1,23 +1,28 @@
-"""Exhaustive small-instance oracle for liftability to the level-2 ring.
+"""Exact oracle for liftability to the level-2 ring, by F2 linear algebra.
 
-The degree equation leaves only finitely many diagonal arrows that could
-ever be added to a based complex, and over the level-2 ring only those with
-a unit exponent matter (anything with both exponents >= 2 is zero there).
-Products of two such candidates are likewise zero, so each candidate
-contributes a fixed, independent toggle to d^2 and the search over arrow
-subsets reduces to XORs of precomputed bit masks, walked in Gray-code order.
+The degree equation leaves finitely many diagonal arrows that could be added
+to a based complex; over the level-2 ring only those with a unit exponent
+matter. Adding a set S of them to d gives (d + S)^2 = d^2 + (dS + Sd) + S^2.
+A product of two candidates has both exponents >= 2, so S^2 vanishes, and
+dS + Sd sums each candidate's paths through base arrows. Each candidate thus
+toggles a fixed set of d^2 terms, and S lifts the complex exactly when the
+XOR of its candidates' term masks is the mask of d^2: a linear system over
+F2, solved by Gaussian elimination.
+
+The solutions are one witness plus the kernel. A candidate is in every
+solution iff the witness holds it and no kernel vector does, since adding
+such a vector would drop it. Elimination leaves one kernel basis vector per
+dependent candidate, and a candidate lies in some kernel vector iff it lies
+in some basis vector, so the forced arrows are the witness bits that no
+basis vector touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import OracleTooLargeError
 from .rings import Arrow, BasedComplex, differential_square
 from .standard import candidate_monomial
-
-DEFAULT_CAP = 20
 
 
 def candidate_arrows(complex: BasedComplex) -> tuple[Arrow, ...]:
@@ -40,78 +45,69 @@ def candidate_arrows(complex: BasedComplex) -> tuple[Arrow, ...]:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """``witness`` is one candidate subset that makes d^2 vanish over the
+    level-2 ring, or None when there is none; ``forced`` holds the
+    candidates present in every such subset (empty when there is none)."""
+
     realizable: bool
     candidates: tuple[Arrow, ...]
-    witness_masks: tuple[int, ...]
-
-    def witnesses(self) -> Iterator[frozenset[Arrow]]:
-        """All candidate subsets that make d^2 vanish over the level-2 ring."""
-        for mask in self.witness_masks:
-            yield frozenset(
-                a for i, a in enumerate(self.candidates) if mask >> i & 1
-            )
-
-    def witness_intersection(self) -> frozenset[Arrow]:
-        """Arrows present in every witness (defined only when realizable)."""
-        if not self.witness_masks:
-            raise ValueError("no witnesses; the complex is not realizable")
-        common = self.witness_masks[0]
-        for mask in self.witness_masks[1:]:
-            common &= mask
-        return frozenset(a for i, a in enumerate(self.candidates) if common >> i & 1)
+    forced: frozenset[Arrow]
+    witness: frozenset[Arrow] | None
 
 
-def oracle_decide(complex: BasedComplex, cap: int = DEFAULT_CAP) -> OracleResult:
-    """Search all subsets of candidate arrows for chain complexes over the
-    level-2 ring whose mod-UV reduction is the input.
+def _reduce(pivots: dict[int, tuple[int, int]], mask: int, subset: int) -> tuple[int, int]:
+    """Clear ``mask``'s lowest bits against the pivot rows, keyed by their
+    lowest bit, toggling in the candidate subsets that made those rows."""
+    while mask:
+        row = pivots.get(mask & -mask)
+        if row is None:
+            break
+        mask ^= row[0]
+        subset ^= row[1]
+    return mask, subset
 
-    Raises OracleTooLargeError when there are more than ``cap`` candidates.
-    """
+
+def oracle_decide(complex: BasedComplex) -> OracleResult:
+    """Decide whether some set of candidate arrows makes ``complex`` a chain
+    complex over the level-2 ring whose mod-UV reduction is the input."""
     candidates = candidate_arrows(complex)
-    if len(candidates) > cap:
-        raise OracleTooLargeError(
-            f"{len(candidates)} candidate arrows exceed the cap of {cap}"
-        )
 
-    term_bits: dict[tuple[int, object, int], int] = {}
-
-    def bit_of(term) -> int:
-        if term not in term_bits:
-            term_bits[term] = 1 << len(term_bits)
-        return term_bits[term]
-
+    # One bit per d^2 term, numbered as the terms turn up.
+    bits: dict[tuple[int, object, int], int] = {}
     base_mask = 0
     for x, terms in differential_square(complex).items():
-        for (y, mono), _ in terms.items():
-            base_mask ^= bit_of((x, mono, y))
+        for y, mono in terms:
+            base_mask ^= bits.setdefault((x, mono, y), 1 << len(bits))
 
     out = complex.outgoing
     inc = complex.incoming
-    deltas = []
-    for cand in candidates:
+    pivots: dict[int, tuple[int, int]] = {}
+    in_kernel = 0
+    for i, cand in enumerate(candidates):
         # Candidate-candidate compositions have both exponents >= 2 and die
         # over the level-2 ring, so only paths through base arrows count.
         delta = 0
         for a in out.get(cand.target, ()):
             m = cand.monomial * a.monomial
             if not m.is_zero_in(complex.ring):
-                delta ^= bit_of((cand.source, m, a.target))
+                delta ^= bits.setdefault((cand.source, m, a.target), 1 << len(bits))
         for a in inc.get(cand.source, ()):
             m = a.monomial * cand.monomial
             if not m.is_zero_in(complex.ring):
-                delta ^= bit_of((a.source, m, cand.target))
-        deltas.append(delta)
+                delta ^= bits.setdefault((a.source, m, cand.target), 1 << len(bits))
+        delta, subset = _reduce(pivots, delta, 1 << i)
+        if delta:
+            pivots[delta & -delta] = (delta, subset)
+        else:
+            in_kernel |= subset
 
-    witnesses = []
-    acc = base_mask
-    subset = 0
-    if acc == 0:
-        witnesses.append(0)
-    for step in range(1, 1 << len(candidates)):
-        bit = (step & -step).bit_length() - 1
-        subset ^= 1 << bit
-        acc ^= deltas[bit]
-        if acc == 0:
-            witnesses.append(subset)
-    witnesses.sort()
-    return OracleResult(bool(witnesses), candidates, tuple(witnesses))
+    rest, solution = _reduce(pivots, base_mask, 0)
+    if rest:
+        return OracleResult(False, candidates, frozenset(), None)
+
+    def arrows_of(mask: int) -> frozenset[Arrow]:
+        return frozenset(a for i, a in enumerate(candidates) if mask >> i & 1)
+
+    return OracleResult(
+        True, candidates, arrows_of(solution & ~in_kernel), arrows_of(solution)
+    )

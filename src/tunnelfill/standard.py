@@ -78,6 +78,12 @@ class ExtendedSignSequence:
         return f"{self.head} | {self.body} | {self.tail}"
 
 
+# An _Interned cache starts over past this many entries. That still holds
+# the 996 generator keys of the n <= 3, |a_i| <= 4 census and the ~12,900
+# of perfbench's long-decide mix, whose decisions repeat.
+_INTERNED_LIMIT = 1 << 14
+
+
 class _Interned(dict):
     """A cache that builds each missing value from its key tuple."""
 
@@ -86,6 +92,8 @@ class _Interned(dict):
         self.make = make
 
     def __missing__(self, key):
+        if len(self) >= _INTERNED_LIMIT:
+            self.clear()
         value = self[key] = self.make(*key)
         return value
 

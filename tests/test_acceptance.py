@@ -144,7 +144,7 @@ def test_criterion_3_oracle_equivalence():
                 disagreements.append(entries)
                 continue
             if isinstance(outcome, PartialRealization):
-                if not outcome.added_arrows <= result.witness_intersection():
+                if not outcome.added_arrows <= result.forced:
                     containment_violations.append(entries)
     assert total == 1296 + 4096
     # Report rather than fail silently: name the offenders in the assertion.

@@ -138,11 +138,10 @@ class TestCensus:
         assert len(lines) == 5
         assert sum(1 for line in lines if ";REALIZABLE;" in line) == 2
 
-    def test_rows_over_the_oracle_cap_are_skipped_and_counted(self, capsys, tmp_path):
+    def test_oracle_checks_every_row(self, capsys, tmp_path):
         out_path = tmp_path / "census.csv"
         code, out, err = run(
-            capsys, "census", "--n", "2", "--max", "2", "--out", str(out_path),
-            "--oracle", "--cap", "0",
+            capsys, "census", "--n", "2", "--max", "2", "--out", str(out_path), "--oracle"
         )
         assert code == 0, err
         assert err == ""
@@ -151,7 +150,7 @@ class TestCensus:
             "forced-arrow counts (bound 6): {0: 78, 1: 8, 2: 2}",
             "obstruction reasons: {'no-adjacent-arrow': 84, 'insufficient-length': 72,"
             " 'wrong-direction': 28}",
-            "oracle cross-check passed on 172 rows; 100 rows beyond the cap of 0 skipped",
+            "oracle cross-check passed on 272 rows",
         ]
         assert len(out_path.read_text().splitlines()) == 273
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,13 @@ from tunnelfill import (
 from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import add_arrows
-from tunnelfill.standard import build_extended, candidate_monomial
+from tunnelfill.standard import (
+    _GENERATORS,
+    _INTERNED_LIMIT,
+    _STEPS,
+    build_extended,
+    candidate_monomial,
+)
 from conftest import named_arrows, sign_sequences
 
 
@@ -179,3 +186,22 @@ class TestNormalizationAnchors:
         ext = build_extended(ExtendedSignSequence(4, body, -4))
         for i in range(7):
             assert std.grading(std.id_of(f"x{i}")) == ext.grading(ext.id_of(f"x{i}"))
+
+
+class TestInterning:
+    def test_long_sequences_leave_the_caches_within_their_bound(self):
+        rng = random.Random(4096)
+        sequences = [(-1, 1, 2, -1, 1, 3) * 256] + [
+            tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(1536))
+            for _ in range(11)
+        ]
+        first = build_standard(SignSequence(sequences[0]))
+        keys = set()
+        for entries in sequences:
+            c = build_standard(SignSequence(entries))
+            keys |= {(g.gid, g.grading) for g in c.generators}
+            assert len(_GENERATORS) <= _INTERNED_LIMIT
+            assert len(_STEPS) <= _INTERNED_LIMIT
+        # Unbounded, the generator cache would now hold every key seen.
+        assert len(keys) > _INTERNED_LIMIT
+        assert build_standard(SignSequence(sequences[0])) == first
