@@ -15,32 +15,41 @@ such a vector would drop it. Elimination leaves one kernel basis vector per
 dependent candidate, and a candidate lies in some kernel vector iff it lies
 in some basis vector, so the forced arrows are the witness bits that no
 basis vector touches.
+
+Candidates come from two grading buckets, not from every pair. An arrow
+x -> U^a V^b y is legal iff gr(y) - gr(x) = (2a - 1, 2b - 1). With a = 1,
+gr_U(y) = gr_U(x) + 1 and gr_V(y) - gr_V(x) is odd and positive; with b = 1,
+gr_V(y) = gr_V(x) + 1 and gr_U(y) - gr_U(x) is odd and at least 3, so that
+a = b = 1 is found only once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Arrow, BasedComplex, differential_square
-from .standard import candidate_monomial
+from .rings import Arrow, BasedComplex, Generator, Monomial, differential_square
 
 
 def candidate_arrows(complex: BasedComplex) -> tuple[Arrow, ...]:
     """Every absent diagonal arrow with a unit exponent that the degree
-    equation permits between some ordered pair of generators."""
+    equation permits, found in the two grading buckets described above."""
+    by_u: dict[int, list[Generator]] = {}
+    by_v: dict[int, list[Generator]] = {}
+    for g in complex.generators:
+        by_u.setdefault(g.grading.gu, []).append(g)
+        by_v.setdefault(g.grading.gv, []).append(g)
     found = []
-    count = len(complex.generators)
-    for x in range(count):
-        for y in range(count):
-            if x == y:
-                continue
-            m = candidate_monomial(complex, x, y)
-            if m is None or m.min_exp != 1:
-                continue
-            arrow = Arrow(x, m, y)
-            if arrow not in complex.arrows:
-                found.append(arrow)
-    return tuple(sorted(found))
+    for x in complex.generators:
+        gu, gv = x.grading.gu, x.grading.gv
+        for y in by_u.get(gu + 1, ()):
+            dv = y.grading.gv - gv
+            if dv > 0 and dv % 2:
+                found.append(Arrow(x.gid, Monomial.of(1, (dv + 1) // 2), y.gid))
+        for y in by_v.get(gv + 1, ()):
+            du = y.grading.gu - gu
+            if du >= 3 and du % 2:
+                found.append(Arrow(x.gid, Monomial.of((du + 1) // 2, 1), y.gid))
+    return tuple(sorted(a for a in found if a not in complex.arrows))
 
 
 @dataclass(frozen=True)

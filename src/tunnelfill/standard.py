@@ -180,20 +180,3 @@ def build_extended(ext: ExtendedSignSequence) -> BasedComplex:
     arrows = [_chain_arrow(p, a, p, p + 1) for p, a in enumerate(ext.entries)]
     return make_complex(R1, gens, arrows)
 
-
-def candidate_monomial(complex: BasedComplex, x: int, y: int) -> Monomial | None:
-    """The unique monomial a degree-legal arrow x -> y would have to carry,
-    or None when no such arrow exists (non-integral or nonpositive exponents).
-    """
-    if x == y:
-        raise ConstructionError("an arrow needs distinct endpoints")
-    gx = complex.grading(x)
-    gy = complex.grading(y)
-    num_u = gy.gu - gx.gu + 1
-    num_v = gy.gv - gx.gv + 1
-    if num_u % 2 != 0 or num_v % 2 != 0:
-        return None
-    a, b = num_u // 2, num_v // 2
-    if a <= 0 or b <= 0:
-        return None
-    return Monomial(a, b)

@@ -8,13 +8,13 @@ import hypothesis.strategies as st
 from tunnelfill import (
     Arrow,
     BasedComplex,
+    ConstructionError,
     Generator,
     Monomial,
     SignSequence,
     build_standard,
 )
 from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
-from tunnelfill.standard import candidate_monomial
 
 hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True
@@ -30,6 +30,42 @@ def sign_sequences(max_n: int = 3, max_abs: int = 3):
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(*[nonzero_ints(max_abs)] * (2 * n))
     ).map(SignSequence)
+
+
+def candidate_monomial(complex: BasedComplex, x: int, y: int) -> Monomial | None:
+    """The unique monomial a degree-legal arrow x -> y would have to carry,
+    or None when no such arrow exists (non-integral or nonpositive exponents).
+    The pairwise reference that the oracle's bucketed candidates must match.
+    """
+    if x == y:
+        raise ConstructionError("an arrow needs distinct endpoints")
+    gx = complex.grading(x)
+    gy = complex.grading(y)
+    num_u = gy.gu - gx.gu + 1
+    num_v = gy.gv - gx.gv + 1
+    if num_u % 2 != 0 or num_v % 2 != 0:
+        return None
+    a, b = num_u // 2, num_v // 2
+    if a <= 0 or b <= 0:
+        return None
+    return Monomial(a, b)
+
+
+def pairwise_candidates(complex: BasedComplex) -> tuple[Arrow, ...]:
+    """Every ordered pair's candidate monomial with a unit exponent, less the
+    arrows already present, sorted: what ``candidate_arrows`` must return."""
+    count = len(complex.generators)
+    found = []
+    for x in range(count):
+        for y in range(count):
+            if x == y:
+                continue
+            mono = candidate_monomial(complex, x, y)
+            if mono is not None and mono.min_exp == 1:
+                arrow = Arrow(x, mono, y)
+                if arrow not in complex.arrows:
+                    found.append(arrow)
+    return tuple(sorted(found))
 
 
 @st.composite

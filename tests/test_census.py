@@ -1,10 +1,22 @@
+import dataclasses
 import hashlib
 import io
 
 import pytest
 
-from tunnelfill import SignSequence, census_rows, write_census_csv
-from tunnelfill.census import census_sequences, decide_row
+from tunnelfill import (
+    Arrow,
+    Monomial,
+    SignSequence,
+    build_standard,
+    census_rows,
+    write_census_csv,
+)
+from tunnelfill.census import census_sequences, cross_check_with_oracle, decide_row
+from tunnelfill.filler import partial_realize
+
+STAIRCASE = SignSequence((-1, 1, 2, -1, 1, 3))
+BLOCKED = SignSequence((-1, 1, 2, -1, 1, 2))
 
 
 class TestEnumeration:
@@ -54,3 +66,43 @@ class TestEnumeration:
         assert row.realizable
         assert row.arrows_added == 2
         assert row.obstruction_reason is None
+
+
+class TestCrossCheck:
+    def test_realizable_row_keeps_the_filler_arrows_in_event_order(self):
+        outcome = partial_realize(build_standard(STAIRCASE))
+        row = decide_row(STAIRCASE)
+        assert row.added == tuple(e.added for e in outcome.added)
+        assert frozenset(row.added) == outcome.added_arrows
+        assert len(row.added) == row.arrows_added
+        assert not hasattr(row, "__dict__")
+
+    def test_not_realizable_row_adds_nothing(self):
+        row = decide_row(BLOCKED)
+        assert not row.realizable
+        assert row.added == ()
+
+    def test_true_rows_pass(self):
+        assert cross_check_with_oracle(decide_row(STAIRCASE)) is None
+        assert cross_check_with_oracle(decide_row(BLOCKED)) is None
+
+    def test_an_added_arrow_outside_forced_is_caught(self):
+        row = decide_row(STAIRCASE)
+        stray = Arrow(0, Monomial(1, 1), 1)
+        doctored = dataclasses.replace(row, added=row.added + (stray,))
+        complaint = cross_check_with_oracle(doctored)
+        assert complaint == (
+            f"{STAIRCASE}: added arrows are not contained in every oracle witness"
+        )
+
+    def test_a_flipped_decision_is_caught(self):
+        row = decide_row(STAIRCASE)
+        flipped = dataclasses.replace(row, decision="NOT_REALIZABLE", added=())
+        assert cross_check_with_oracle(flipped) == (
+            f"{STAIRCASE}: algorithm says NOT_REALIZABLE, oracle says REALIZABLE"
+        )
+        row = decide_row(BLOCKED)
+        flipped = dataclasses.replace(row, decision="REALIZABLE")
+        assert cross_check_with_oracle(flipped) == (
+            f"{BLOCKED}: algorithm says REALIZABLE, oracle says NOT_REALIZABLE"
+        )

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from tunnelfill import (
     Arrow,
+    ExtendedSignSequence,
     Generator,
     Grading,
     Monomial,
@@ -16,12 +17,14 @@ from tunnelfill import (
     degree_violations,
     differential_square,
     oracle_decide,
+    realize,
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.oracle import candidate_arrows
 from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
-from conftest import sign_sequences
+from tunnelfill.standard import build_extended
+from conftest import pairwise_candidates, sign_sequences
 
 
 def level_two(*entries):
@@ -52,6 +55,50 @@ class TestCandidates:
         c = lift_to(build_standard(seq), R2)
         for arrow in candidate_arrows(c):
             assert degree_violations(add_arrows(c, [arrow])) == []
+
+
+class TestCandidateBuckets:
+    """The two grading buckets find exactly what trying every ordered pair
+    finds, in the same order."""
+
+    def test_every_small_standard_complex(self):
+        for seq in census_sequences(2, 4):
+            c = lift_to(build_standard(seq), R2)
+            assert candidate_arrows(c) == pairwise_candidates(c), seq
+
+    def test_long_random_sequences(self):
+        rng = random.Random(4096)
+        for _ in range(10):
+            length = 2 * rng.randint(48, 192)
+            entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(length))
+            c = lift_to(build_standard(SignSequence(entries)), R2)
+            assert candidate_arrows(c) == pairwise_candidates(c), entries
+
+    def test_extended_complexes(self):
+        bodies = ((-1, 1, 2, -1, 1, 3), (2, -1), (1, 1, -2, 3))
+        for body in bodies:
+            for head, tail in itertools.product((-3, -1, 2), repeat=2):
+                ext = ExtendedSignSequence(head, SignSequence(body), tail)
+                c = lift_to(build_extended(ext), R2)
+                assert candidate_arrows(c) == pairwise_candidates(c), ext
+
+    def test_glued_realization_drops_its_present_diagonals(self):
+        glued = realize(SignSequence((-1, 1, 2, -1, 1, 3)))
+        unit_diagonals = [
+            a for a in glued.arrows if a.monomial.is_diagonal and a.monomial.min_exp == 1
+        ]
+        assert unit_diagonals
+        found = candidate_arrows(glued)
+        assert found == pairwise_candidates(glued)
+        assert not set(found) & set(unit_diagonals)
+
+    def test_generators_that_share_gradings(self):
+        gens, arrows = fork(3, 0, 0)
+        more_gens, more_arrows = fork(2, 6, 1)
+        c = make_complex(R2, gens + more_gens, arrows + more_arrows)
+        found = candidate_arrows(c)
+        assert len(found) >= 5
+        assert found == pairwise_candidates(c)
 
 
 class TestOracleDecisions:
@@ -153,7 +200,7 @@ class TestElimination:
         started = time.perf_counter()
         rng = random.Random(20231)
         ladder = (-1, 1, 2, -1, 1, 3)
-        sequences = [ladder * (length // 6) for length in (96, 192, 384)]
+        sequences = [ladder * (length // 6) for length in (96, 192, 384, 768, 1536)]
         for _ in range(200):
             n = rng.randint(8, 40)
             sequences.append(

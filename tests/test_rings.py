@@ -26,8 +26,7 @@ from tunnelfill.rings import (
     make_complex,
     reduce_to,
 )
-from tunnelfill.standard import candidate_monomial
-from conftest import arrow_by_names, based_complexes
+from conftest import arrow_by_names, based_complexes, candidate_monomial
 
 
 def seq(*entries):

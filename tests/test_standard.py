@@ -21,9 +21,8 @@ from tunnelfill.standard import (
     _INTERNED_LIMIT,
     _STEPS,
     build_extended,
-    candidate_monomial,
 )
-from conftest import named_arrows, sign_sequences
+from conftest import candidate_monomial, named_arrows, sign_sequences
 
 
 def grading_of(complex, name):
