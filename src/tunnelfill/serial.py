@@ -8,20 +8,16 @@ are exact.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as quote
 from typing import Any
 
-from .errors import DocumentError, SequenceParseError
-from .rings import (
-    R1,
-    R2,
-    RINF,
-    Arrow,
-    BasedComplex,
-    Generator,
-    Grading,
-    Monomial,
-    make_complex,
+from .errors import (
+    ConstructionError,
+    DocumentError,
+    SequenceParseError,
+    UnknownGeneratorError,
 )
+from .rings import R1, R2, RINF, Arrow, BasedComplex, Generator, Grading, Monomial
 from .standard import ExtendedSignSequence, SignSequence
 
 RING_NAMES = {R1: "R1", R2: "R2", RINF: "Rinf"}
@@ -60,101 +56,148 @@ def _parse_entries(text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:
-    """The plain-JSON shape of a complex; colors only when requested."""
-    if complex.ring not in RING_NAMES:
-        raise DocumentError(f"no document name for ring level {complex.ring}")
-    generators = [
-        {"name": g.name, "gr": [g.grading.gu, g.grading.gv]}
-        for g in complex.generators
-    ]
-    arrows = []
-    for a in complex.sorted_arrows():
-        entry: dict[str, Any] = {
-            "from": complex.generator(a.source).name,
-            "to": complex.generator(a.target).name,
-            "u": a.monomial.u,
-            "v": a.monomial.v,
-        }
-        if include_colors:
-            color = complex.colors.get(a)
-            if color is not None:
-                entry["color"] = color
-        arrows.append(entry)
-    return {"ring": RING_NAMES[complex.ring], "generators": generators, "arrows": arrows}
+# serialize fills these templates, quoting strings with json's C encoder, and
+# so writes what json.dumps(document, indent=2) writes, byte for byte, without
+# running json's indenting encoder, which is pure Python.
+_DOCUMENT = '{\n  "ring": "%s",\n  "generators": %s,\n  "arrows": %s\n}\n'
+_GENERATOR = '    {\n      "name": %s,\n      "gr": [\n        %d,\n        %d\n      ]\n    }'
+_ARROW_HEAD = '    {\n      "from": %s,\n      "to": %s,\n      "u": %d,\n      "v": %d'
+_ARROW = _ARROW_HEAD + "\n    }"
+_COLORED_ARROW = _ARROW_HEAD + ',\n      "color": %s\n    }'
+
+
+def _block(entries: list[str]) -> str:
+    return "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
 
 
 def serialize(complex: BasedComplex, include_colors: bool = False) -> str:
-    return json.dumps(to_document(complex, include_colors), indent=2) + "\n"
+    """The complex as a JSON document in json.dumps's indent=2 layout, plus a
+    newline; colors only when requested."""
+    ring = RING_NAMES.get(complex.ring)
+    if ring is None:
+        raise DocumentError(f"no document name for ring level {complex.ring}")
+    quoted = {}
+    generators = []
+    for gid, g in enumerate(complex.generators):
+        quoted[gid] = name = quote(g.name)
+        generators.append(_GENERATOR % (name, g.grading.gu, g.grading.gv))
+    colors = complex.colors if include_colors else {}
+    arrows = []
+    try:
+        for arrow in sorted(complex.arrows):
+            source, (u, v), target = arrow
+            color = colors.get(arrow)
+            if color is None:
+                arrows.append(_ARROW % (quoted[source], quoted[target], u, v))
+            else:
+                arrows.append(
+                    _COLORED_ARROW % (quoted[source], quoted[target], u, v, quote(color))
+                )
+    except KeyError as exc:
+        raise UnknownGeneratorError(f"no generator with id {exc.args[0]}") from None
+    return _DOCUMENT % (ring, _block(generators), _block(arrows))
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], what: str):
-    keys = set(obj)
-    missing = required - keys
-    unknown = keys - required - optional
-    if missing:
-        raise DocumentError(f"{what} is missing fields {sorted(missing)}")
-    if unknown:
-        raise DocumentError(f"{what} has unknown fields {sorted(unknown)}")
+_DOCUMENT_FIELDS = frozenset({"ring", "generators", "arrows"})
+_GENERATOR_FIELDS = frozenset({"name", "gr"})
+_ARROW_FIELDS = frozenset({"from", "to", "u", "v"})
+_COLORED_ARROW_FIELDS = _ARROW_FIELDS | {"color"}
+
+
+def _fields_error(entry, required: frozenset, what: str, optional=frozenset()) -> DocumentError:
+    """Why ``entry`` is not an object with the required fields and no other
+    fields but the optional ones. A string or a list is read as the set of
+    its items, so its message names the fields it lacks."""
+    try:
+        keys = set(entry)
+        if required - keys:
+            return DocumentError(f"{what} is missing fields {sorted(required - keys)}")
+        if keys - required - optional:
+            return DocumentError(
+                f"{what} has unknown fields {sorted(keys - required - optional)}"
+            )
+    except TypeError:
+        pass
+    return DocumentError(f"{what} must be an object")
+
+
+def _is_count(value) -> bool:
+    """An int and not a bool; ``type(x) is int`` is the fast path before it."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_document(doc: Any) -> BasedComplex:
+    """Check a decoded document and build its complex in the same pass."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    _require_keys(doc, {"ring", "generators", "arrows"}, set(), "document")
-    ring = NAMED_RINGS.get(doc["ring"])
-    if ring is None:
+    if doc.keys() != _DOCUMENT_FIELDS:
+        raise _fields_error(doc, _DOCUMENT_FIELDS, "document")
+    try:
+        ring = NAMED_RINGS[doc["ring"]]
+    except (KeyError, TypeError):
         raise DocumentError(
             f"ring must be one of {sorted(NAMED_RINGS)}, got {doc['ring']!r}"
-        )
+        ) from None
 
     generators: list[Generator] = []
     ids: dict[str, int] = {}
     for i, entry in enumerate(_as_list(doc["generators"], "generators")):
-        _require_keys(entry, {"name", "gr"}, set(), f"generator {i}")
+        if not isinstance(entry, dict) or entry.keys() != _GENERATOR_FIELDS:
+            raise _fields_error(entry, _GENERATOR_FIELDS, f"generator {i}")
         name = entry["name"]
         gr = entry["gr"]
         if not isinstance(name, str) or not name:
             raise DocumentError(f"generator {i}: name must be a nonempty string")
         if name in ids:
             raise DocumentError(f"duplicate generator name {name!r}")
-        if (
-            not isinstance(gr, list)
-            or len(gr) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in gr)
-        ):
+        if not isinstance(gr, list) or len(gr) != 2 or not all(map(_is_count, gr)):
             raise DocumentError(f"generator {name!r}: gr must be a pair of integers")
         ids[name] = i
         generators.append(Generator(i, name, Grading(gr[0], gr[1])))
 
-    arrows: list[Arrow] = []
+    arrows: set[Arrow] = set()
     colors: dict[Arrow, str] = {}
-    seen: set[Arrow] = set()
+    loop = None
     for i, entry in enumerate(_as_list(doc["arrows"], "arrows")):
-        _require_keys(entry, {"from", "to", "u", "v"}, {"color"}, f"arrow {i}")
-        for key in ("u", "v"):
-            value = entry[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise DocumentError(f"arrow {i}: {key} must be a nonnegative integer")
-        for key in ("from", "to"):
-            if entry[key] not in ids:
-                raise DocumentError(f"arrow {i}: unknown generator {entry[key]!r}")
-        mono = Monomial(entry["u"], entry["v"])
-        if mono.u == 0 and mono.v == 0:
+        if not isinstance(entry, dict) or (
+            entry.keys() != _ARROW_FIELDS and entry.keys() != _COLORED_ARROW_FIELDS
+        ):
+            raise _fields_error(entry, _ARROW_FIELDS, f"arrow {i}", {"color"})
+        u = entry["u"]
+        v = entry["v"]
+        if type(u) is not int and not _is_count(u) or u < 0:
+            raise DocumentError(f"arrow {i}: u must be a nonnegative integer")
+        if type(v) is not int and not _is_count(v) or v < 0:
+            raise DocumentError(f"arrow {i}: v must be a nonnegative integer")
+        try:
+            source = ids[entry["from"]]
+        except (KeyError, TypeError):
+            raise DocumentError(f"arrow {i}: unknown generator {entry['from']!r}") from None
+        try:
+            target = ids[entry["to"]]
+        except (KeyError, TypeError):
+            raise DocumentError(f"arrow {i}: unknown generator {entry['to']!r}") from None
+        if not u and not v:
             raise DocumentError(f"arrow {i}: the unit monomial is not a legal arrow")
+        mono = Monomial(u, v)
         if mono.is_zero_in(ring):
             raise DocumentError(f"arrow {i}: monomial {mono} is zero in {doc['ring']}")
-        arrow = Arrow(ids[entry["from"]], mono, ids[entry["to"]])
-        if arrow in seen:
+        arrow = Arrow(source, mono, target)
+        if arrow in arrows:
             raise DocumentError(f"arrow {i}: duplicate of an earlier arrow")
-        seen.add(arrow)
-        arrows.append(arrow)
+        arrows.add(arrow)
+        if source == target and loop is None:
+            loop = arrow
         if "color" in entry:
             if not isinstance(entry["color"], str):
                 raise DocumentError(f"arrow {i}: color must be a string")
             colors[arrow] = entry["color"]
 
-    return make_complex(ring, generators, arrows, colors)
+    # A self-loop is well-formed JSON but no complex: it is reported as a
+    # ConstructionError, and only once the whole document has passed.
+    if loop is not None:
+        raise ConstructionError(f"arrow {loop} is a self-loop")
+    return BasedComplex(ring, tuple(generators), frozenset(arrows), colors)
 
 
 def parse(text: str) -> BasedComplex:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from typing import Any
+
 import hypothesis
 import hypothesis.strategies as st
 
@@ -9,12 +12,14 @@ from tunnelfill import (
     Arrow,
     BasedComplex,
     ConstructionError,
+    DocumentError,
     Generator,
     Monomial,
     SignSequence,
     build_standard,
 )
 from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
+from tunnelfill.serial import RING_NAMES
 
 hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True
@@ -148,3 +153,32 @@ def disjoint_union(first: BasedComplex, second: BasedComplex) -> BasedComplex:
         Arrow(offset + a.source, a.monomial, offset + a.target) for a in second.arrows
     ]
     return make_complex(first.ring, gens, arrows)
+
+
+def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:
+    """The plain-JSON shape of a complex; colors only when requested."""
+    if complex.ring not in RING_NAMES:
+        raise DocumentError(f"no document name for ring level {complex.ring}")
+    generators = [
+        {"name": g.name, "gr": [g.grading.gu, g.grading.gv]}
+        for g in complex.generators
+    ]
+    arrows = []
+    for a in complex.sorted_arrows():
+        entry: dict[str, Any] = {
+            "from": complex.generator(a.source).name,
+            "to": complex.generator(a.target).name,
+            "u": a.monomial.u,
+            "v": a.monomial.v,
+        }
+        if include_colors:
+            color = complex.colors.get(a)
+            if color is not None:
+                entry["color"] = color
+        arrows.append(entry)
+    return {"ring": RING_NAMES[complex.ring], "generators": generators, "arrows": arrows}
+
+
+def reference_serialize(complex: BasedComplex, include_colors: bool = False) -> str:
+    """The text ``serialize`` must write, byte for byte: json's own indent=2."""
+    return json.dumps(to_document(complex, include_colors), indent=2) + "\n"

@@ -80,6 +80,15 @@ class TestRealizeVerifyRender:
         assert code == 0
         assert "symmetry: FAIL" in out
 
+    def test_verify_rejects_a_malformed_document_without_a_traceback(self, capsys, tmp_path):
+        doc = tmp_path / "bad.json"
+        good = json.loads(serialize(build_standard(SignSequence((2, 2)))))
+        for field, value in (("generators", [1]), ("arrows", [7]), ("ring", {})):
+            doc.write_text(json.dumps({**good, field: value}))
+            code, out, err = run(capsys, "verify", str(doc))
+            assert code == 1 and out == ""
+            assert err.startswith("error: ")
+
     def test_not_realizable_realize(self, capsys, tmp_path):
         doc = tmp_path / "none.json"
         code, out, _ = run(capsys, "realize", "-s", "1,1", "-o", str(doc))
