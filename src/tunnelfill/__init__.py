@@ -21,6 +21,7 @@ from .errors import (
     InvalidReductionError,
     PlacementError,
     RenderError,
+    SearchBudgetError,
     SequenceParseError,
     TunnelFillError,
     UnknownGeneratorError,
@@ -88,6 +89,7 @@ __all__ = [
     "InvalidReductionError",
     "PlacementError",
     "RenderError",
+    "SearchBudgetError",
     "SequenceParseError",
     "UnknownGeneratorError",
 ]

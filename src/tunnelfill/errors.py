@@ -48,3 +48,7 @@ class DocumentError(TunnelFillError):
 
 class RenderError(TunnelFillError):
     """The complex cannot be laid out on the lattice."""
+
+
+class SearchBudgetError(TunnelFillError):
+    """The isomorphism search used up its budget without a verdict."""

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConstructionError
+from .errors import ConstructionError, SearchBudgetError
 from .f2poly import PolyMatrix, pdeg, smith_normal_form
-from .rings import Arrow, BasedComplex, Generator, Monomial, make_complex
+from .rings import Arrow, BasedComplex, Generator, Monomial
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,12 @@ def conjugate(complex: BasedComplex) -> BasedComplex:
         for a in complex.arrows
     }
     colors = {swap[a]: c for a, c in complex.colors.items()}
-    return make_complex(complex.ring, gens, swap.values(), colors)
+    return BasedComplex(complex.ring, gens, frozenset(swap.values()), colors)
 
 
-def _arrow_profile(complex):
-    """Per-generator multiset of (direction, monomial) incidences."""
-    prof = {g.gid: [] for g in complex.generators}
-    for a in complex.arrows:
-        prof[a.source].append(("out", a.monomial))
-        prof[a.target].append(("in", a.monomial))
-    return {gid: tuple(sorted(v)) for gid, v in prof.items()}
+# How many individualizations find_based_isomorphism may make before it
+# gives up; each one costs a refinement pass.
+SEARCH_BUDGET = 1 << 10
 
 
 def find_based_isomorphism(
@@ -172,94 +168,86 @@ def find_based_isomorphism(
     second: BasedComplex,
     allow_grading_shift: bool = False,
 ) -> dict[int, int] | None:
-    """A generator bijection matching gradings and the full arrow set, or
-    None. With ``allow_grading_shift`` the gradings may differ by a single
-    global offset.
+    """A generator bijection matching gradings and the full arrow set, sorted
+    by key, or None. With ``allow_grading_shift`` the gradings may differ by
+    a single global offset.
+
+    Colour refinement and individualization (McKay & Piperno, "Practical
+    graph isomorphism, II", J. Symb. Comput. 60, 2014) on both complexes at
+    once. Raises SearchBudgetError after ``SEARCH_BUDGET`` individualizations.
     """
-    if len(first.generators) != len(second.generators):
+    n = len(first.generators)
+    if n != len(second.generators) or len(first.arrows) != len(second.arrows):
         return None
-    if len(first.arrows) != len(second.arrows):
+    du = dv = 0
+    if allow_grading_shift and n:
+        # A shift keeps the lexicographic order, so it takes least to least.
+        low1 = min(g.grading for g in first.generators)
+        low2 = min(g.grading for g in second.generators)
+        du, dv = low2.gu - low1.gu, low2.gv - low1.gv
+    # Vertex v < n is first's generator v, and v >= n is second's v - n.
+    colour = [(g.grading.gu + du, g.grading.gv + dv) for g in first.generators]
+    colour += [(g.grading.gu, g.grading.gv) for g in second.generators]
+    if sorted(colour[:n]) != sorted(colour[n:]):
         return None
+    links: list[list[tuple[tuple[int, Monomial], int]]] = [[] for _ in colour]
+    for base, complex in ((0, first), (n, second)):
+        for s, m, t in complex.arrows:
+            links[base + s].append(((0, m), base + t))
+            links[base + t].append(((1, m), base + s))
 
-    prof1 = _arrow_profile(first)
-    prof2 = _arrow_profile(second)
-
-    if allow_grading_shift:
-        anchor = first.generators[0]
-        shifts = []
-        for g in second.generators:
-            if prof2[g.gid] == prof1[anchor.gid]:
-                d = (g.grading.gu - anchor.grading.gu, g.grading.gv - anchor.grading.gv)
-                if d not in shifts:
-                    shifts.append(d)
-    else:
-        shifts = [(0, 0)]
-
-    out1 = first.outgoing
-    in1 = first.incoming
-    for du, dv in shifts:
-        def key1(g: Generator):
-            return (g.grading.gu + du, g.grading.gv + dv, prof1[g.gid])
-
-        def key2(g: Generator):
-            return (g.grading.gu, g.grading.gv, prof2[g.gid])
-
-        buckets: dict[object, list[int]] = {}
-        for g in second.generators:
-            buckets.setdefault(key2(g), []).append(g.gid)
-        if sorted(map(key1, first.generators)) != sorted(map(key2, second.generators)):
+    # A branch individualizes a and b (a < 0: none) in its parent's colouring.
+    stack = [(colour, -1, -1)]
+    budget = SEARCH_BUDGET
+    while stack:
+        colour, a, b = stack.pop()
+        if a >= 0:
+            if not budget:
+                raise SearchBudgetError(
+                    f"isomorphism search gave up after {SEARCH_BUDGET} individualizations"
+                )
+            budget -= 1
+            colour = list(colour)
+            colour[a] = colour[b] = max(colour) + 1
+        colour = _refine(links, n, colour)
+        if colour is None:
             continue
-
-        order = sorted(
-            first.generators, key=lambda g: (len(buckets[key1(g)]), g.gid)
-        )
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-
-        def compatible(gid: int, target: int) -> bool:
-            for a in out1.get(gid, ()):
-                if a.target in mapping and not _has_arrow(
-                    second, target, a.monomial, mapping[a.target]
-                ):
-                    return False
-            for a in in1.get(gid, ()):
-                if a.source in mapping and not _has_arrow(
-                    second, mapping[a.source], a.monomial, target
-                ):
-                    return False
-            return True
-
-        def extend(i: int) -> bool:
-            if i == len(order):
-                return _arrow_sets_match(first, second, mapping)
-            g = order[i]
-            for target in buckets[key1(g)]:
-                if target in used:
-                    continue
-                if not compatible(g.gid, target):
-                    continue
-                mapping[g.gid] = target
-                used.add(target)
-                if extend(i + 1):
-                    return True
-                del mapping[g.gid]
-                used.remove(target)
-            return False
-
-        if extend(0):
-            return dict(mapping)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        tied = [cell for cell in cells.values() if len(cell) > 2]
+        if tied:
+            # A cell lists its first-complex half first, both in id order.
+            cell = min(tied, key=len)
+            stack += [(colour, cell[0], b) for b in reversed(cell[len(cell) // 2 :])]
+            continue
+        image = dict(sorted((x, y - n) for x, y in cells.values()))
+        if {Arrow(image[s], m, image[t]) for s, m, t in first.arrows} == second.arrows:
+            return image
     return None
 
 
-def _has_arrow(complex, source, monomial, target) -> bool:
-    return Arrow(source, monomial, target) in complex.arrows
-
-
-def _arrow_sets_match(first, second, mapping) -> bool:
-    mapped = {
-        Arrow(mapping[a.source], a.monomial, mapping[a.target]) for a in first.arrows
-    }
-    return mapped == second.arrows
+def _refine(links, n, colour):
+    """Split each colour class by the sorted (arrow kind, neighbour colour)
+    signatures of its members until no class splits. Colours are renumbered
+    in signature order, so both complexes name them alike. None as soon as a
+    class holds unequal numbers of vertices from the two complexes."""
+    count = len(set(colour))
+    while True:
+        keys = [
+            (c, tuple(sorted([(kind, colour[w]) for kind, w in adjacent])))
+            for c, adjacent in zip(colour, links)
+        ]
+        names = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [names[key] for key in keys]
+        balance = [0] * len(names)
+        for v, c in enumerate(colour):
+            balance[c] += 1 if v < n else -1
+        if any(balance):
+            return None
+        if len(names) == count:
+            return colour
+        count = len(names)
 
 
 def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:

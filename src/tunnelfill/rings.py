@@ -75,12 +75,8 @@ class Monomial(_MonomialFields):
 
     @staticmethod
     def of(u: int, v: int) -> "Monomial":
-        """Interned constructor; exponents stay small in practice."""
-        key = (u, v)
-        cached = _MONOMIALS.get(key)
-        if cached is None:
-            cached = _MONOMIALS[key] = Monomial(u, v)
-        return cached
+        """Interned constructor."""
+        return _MONOMIALS[u, v]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial.of(self.u + other.u, self.v + other.v)
@@ -108,7 +104,28 @@ class Monomial(_MonomialFields):
         return f"U^{self.u}V^{self.v}"
 
 
-_MONOMIALS: dict[tuple[int, int], Monomial] = {}
+# An _Interned cache (monomials here; chain steps and generators in
+# standard.py) starts over past this many entries. That still holds the 996
+# generator keys of the n <= 3, |a_i| <= 4 census and the ~12,900
+# of perfbench's long-decide mix, whose decisions repeat.
+_INTERNED_LIMIT = 1 << 14
+
+
+class _Interned(dict):
+    """A cache that builds each missing value from its key tuple."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        if len(self) >= _INTERNED_LIMIT:
+            self.clear()
+        value = self[key] = self.make(*key)
+        return value
+
+
+_MONOMIALS = _Interned(Monomial)
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -22,6 +22,7 @@ from .rings import (
     Generator,
     Grading,
     Monomial,
+    _Interned,
     make_complex,
 )
 
@@ -76,26 +77,6 @@ class ExtendedSignSequence:
 
     def __str__(self) -> str:
         return f"{self.head} | {self.body} | {self.tail}"
-
-
-# An _Interned cache starts over past this many entries. That still holds
-# the 996 generator keys of the n <= 3, |a_i| <= 4 census and the ~12,900
-# of perfbench's long-decide mix, whose decisions repeat.
-_INTERNED_LIMIT = 1 << 14
-
-
-class _Interned(dict):
-    """A cache that builds each missing value from its key tuple."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        if len(self) >= _INTERNED_LIMIT:
-            self.clear()
-        value = self[key] = self.make(*key)
-        return value
 
 
 def _chain_arrow(position: int, a: int, lo: int, hi: int) -> Arrow:

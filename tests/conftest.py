@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from typing import Any
 
 import hypothesis
@@ -14,11 +16,12 @@ from tunnelfill import (
     ConstructionError,
     DocumentError,
     Generator,
+    Grading,
     Monomial,
     SignSequence,
     build_standard,
 )
-from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
+from tunnelfill.rings import R2, RINF, add_arrows, lift_to, make_complex
 from tunnelfill.serial import RING_NAMES
 
 hypothesis.settings.register_profile(
@@ -182,3 +185,118 @@ def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str
 def reference_serialize(complex: BasedComplex, include_colors: bool = False) -> str:
     """The text ``serialize`` must write, byte for byte: json's own indent=2."""
     return json.dumps(to_document(complex, include_colors), indent=2) + "\n"
+
+
+def long_symmetric_sequence() -> SignSequence:
+    """768 entries: (-1,1,2,-1,1,3)*64 then its negated mirror. Its
+    realization has 1,541 generators, too many for a symmetry search that
+    recurses once per generator."""
+    half = (-1, 1, 2, -1, 1, 3) * 64
+    return SignSequence(half + tuple(-a for a in reversed(half)))
+
+
+def layered_probe(h: int, seed: int) -> BasedComplex:
+    """An R2 complex with d^2 = 0 that passes the degree check: h generators
+    at each of (0,0), (3,1), (1,3) and (4,4), with arrows top -> U^2V (3,1),
+    top -> UV^2 (1,3), (3,1) -> UV^2 bottom and (1,3) -> U^2V bottom. Each
+    block is the union of two random perfect matchings that share no pair,
+    so every generator has two arrows in each of its blocks and the
+    generators of a layer look alike."""
+    rng = random.Random(seed)
+    layers = [(0, 0), (3, 1), (1, 3), (4, 4)]
+    gens = tuple(
+        Generator(i, f"g{i}", Grading(*layers[i // h])) for i in range(4 * h)
+    )
+    blocks = [(0, 1, Monomial(2, 1)), (0, 2, Monomial(1, 2)),
+              (1, 3, Monomial(1, 2)), (2, 3, Monomial(2, 1))]
+    arrows = set()
+    for source, target, mono in blocks:
+        first = rng.sample(range(h), h)
+        second = first
+        while any(map(int.__eq__, first, second)):
+            second = rng.sample(range(h), h)
+        for match in (first, second):
+            arrows |= {
+                Arrow(source * h + i, mono, target * h + j) for i, j in enumerate(match)
+            }
+    return make_complex(R2, gens, arrows)
+
+
+def random_small_complex(rng: random.Random, count: int) -> BasedComplex:
+    """``count`` generators on few gradings with arrows of few monomials, so
+    that many generators look alike; no degree or d^2 condition."""
+    gens = tuple(
+        Generator(i, f"g{i}", Grading(rng.randint(0, 1), rng.randint(0, 2)))
+        for i in range(count)
+    )
+    monos = [Monomial(1, 0), Monomial(0, 1), Monomial(1, 1)]
+    pairs = [(x, y) for x in range(count) for y in range(count) if x != y]
+    arrows = {
+        Arrow(x, rng.choice(monos), y)
+        for x, y in rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * count)))
+    }
+    return make_complex(RINF, gens, arrows)
+
+
+def relabelled(complex: BasedComplex, order: list[int], du: int = 0, dv: int = 0):
+    """The same complex with generator ``order[i]`` moved to id i, renamed,
+    and every grading shifted by (du, dv)."""
+    new_id = {old: i for i, old in enumerate(order)}
+    gens = tuple(
+        Generator(i, f"h{i}", complex.grading(old).shifted(du, dv))
+        for i, old in enumerate(order)
+    )
+    arrows = [Arrow(new_id[a.source], a.monomial, new_id[a.target]) for a in complex.arrows]
+    return make_complex(complex.ring, gens, arrows)
+
+
+def isomorphism_by_permutations(
+    first: BasedComplex, second: BasedComplex, allow_grading_shift: bool = False
+) -> dict[int, int] | None:
+    """The first bijection, in permutation order, that carries gradings to
+    gradings (up to one offset when allowed) and the arrow set onto the
+    other's; the exhaustive reference for ``find_based_isomorphism``."""
+    count = len(first.generators)
+    assert count <= 7, "n! bijections"
+    if count != len(second.generators):
+        return None
+    grades1 = [(g.grading.gu, g.grading.gv) for g in first.generators]
+    grades2 = [(g.grading.gu, g.grading.gv) for g in second.generators]
+    for images in itertools.permutations(range(count)):
+        # Most bijections break the gradings; skip those before the full check.
+        du = grades2[images[0]][0] - grades1[0][0] if count else 0
+        dv = grades2[images[0]][1] - grades1[0][1] if count else 0
+        if any(grades2[y] != (gu + du, gv + dv) for (gu, gv), y in zip(grades1, images)):
+            continue
+        mapping = dict(enumerate(images))
+        if is_based_isomorphism(first, second, mapping, allow_grading_shift):
+            return mapping
+    return None
+
+
+def is_based_isomorphism(
+    first: BasedComplex,
+    second: BasedComplex,
+    mapping: dict[int, int],
+    allow_grading_shift: bool = False,
+) -> bool:
+    """Whether ``mapping`` is a bijection of generator ids that shifts every
+    grading by one offset (zero unless allowed) and maps the arrow set of
+    ``first`` exactly onto that of ``second``."""
+    count = len(first.generators)
+    if sorted(mapping) != list(range(count)):
+        return False
+    if sorted(mapping.values()) != list(range(len(second.generators))):
+        return False
+    gens1, gens2 = first.generators, second.generators
+    offsets = {
+        (
+            gens2[y].grading.gu - gens1[x].grading.gu,
+            gens2[y].grading.gv - gens1[x].grading.gv,
+        )
+        for x, y in mapping.items()
+    }
+    if len(offsets) > 1 or (not allow_grading_shift and offsets - {(0, 0)}):
+        return False
+    image = {Arrow(mapping[a.source], a.monomial, mapping[a.target]) for a in first.arrows}
+    return image == second.arrows

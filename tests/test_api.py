@@ -28,7 +28,8 @@ PUBLIC = {
     # Errors
     "TunnelFillError", "ConstructionError", "DocumentError", "ExtensionError",
     "InternalError", "InvalidLiftError", "InvalidReductionError",
-    "PlacementError", "RenderError", "SequenceParseError", "UnknownGeneratorError",
+    "PlacementError", "RenderError", "SearchBudgetError", "SequenceParseError",
+    "UnknownGeneratorError",
 }
 
 
@@ -36,9 +37,9 @@ def test_star_import_binds_exactly_the_public_api():
     namespace = {}
     exec("from tunnelfill import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 41
     assert set(namespace) == PUBLIC
-    assert len(tunnelfill.__all__) == 40
+    assert len(tunnelfill.__all__) == 41
 
 
 def test_readme_library_block_does_what_its_comments_say():

@@ -3,7 +3,9 @@ import shlex
 from pathlib import Path
 
 from tunnelfill import SignSequence, build_standard, serialize
+from tunnelfill import homology
 from tunnelfill.cli import main
+from conftest import disjoint_union, long_symmetric_sequence
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -71,6 +73,26 @@ class TestRealizeVerifyRender:
         code, out, _ = run(capsys, "verify", str(doc))
         assert code == 0
         assert "symmetry: PASS" in out
+
+    def test_1541_generator_realization_passes_all_checks(self, capsys, tmp_path):
+        doc = tmp_path / "long.json"
+        code, out, _ = run(
+            capsys, "realize", "-s", str(long_symmetric_sequence()), "-o", str(doc)
+        )
+        assert code == 0 and "1541-generator" in out
+        code, out, err = run(capsys, "verify", str(doc))
+        assert code == 0 and err == ""
+        assert "symmetry: PASS" in out
+        assert "4/4 checks passed" in out
+
+    def test_exhausted_search_budget_is_an_error(self, capsys, tmp_path, monkeypatch):
+        doc = tmp_path / "twins.json"
+        c = build_standard(SignSequence((-1, 1)))
+        doc.write_text(serialize(disjoint_union(c, c)))
+        monkeypatch.setattr(homology, "SEARCH_BUDGET", 0)
+        code, out, err = run(capsys, "verify", str(doc), "--check", "symmetry")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
 
     def test_verify_reports_failures_without_error_exit(self, capsys, tmp_path):
         doc = tmp_path / "c.json"

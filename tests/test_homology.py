@@ -1,17 +1,24 @@
 import itertools
+import random
+import time
 
+import pytest
 from hypothesis import given
 
 from tunnelfill import (
     Generator,
     Grading,
     Monomial,
+    SearchBudgetError,
     SignSequence,
     build_standard,
     check_correct_homology,
     check_symmetry,
+    degree_violations,
+    differential_square,
     realize,
 )
+from tunnelfill import homology
 from tunnelfill.homology import (
     conjugate,
     find_based_isomorphism,
@@ -19,7 +26,16 @@ from tunnelfill.homology import (
     quotient_complex,
 )
 from tunnelfill.rings import R1, RINF, Arrow, make_complex
-from conftest import disjoint_union, sign_sequences
+from conftest import (
+    disjoint_union,
+    is_based_isomorphism,
+    isomorphism_by_permutations,
+    layered_probe,
+    long_symmetric_sequence,
+    random_small_complex,
+    relabelled,
+    sign_sequences,
+)
 
 
 class TestQuotient:
@@ -144,6 +160,101 @@ class TestBasedIsomorphism:
         b = build_standard(SignSequence((2, -2)))
         assert find_based_isomorphism(a, b) is None
         assert find_based_isomorphism(a, b, allow_grading_shift=True) is None
+
+
+def directed_cycles(*lengths):
+    """Disjoint directed cycles of UV arrows, every generator at (0, 0)."""
+    gens, arrows = [], []
+    for length in lengths:
+        base = len(gens)
+        gens += [Generator(base + i, f"g{base + i}", Grading(0, 0)) for i in range(length)]
+        arrows += [
+            Arrow(base + i, Monomial(1, 1), base + (i + 1) % length) for i in range(length)
+        ]
+    return make_complex(RINF, gens, arrows)
+
+
+class TestIndividualization:
+    # Every generator of a union of directed cycles has one arrow in and one
+    # out, so refinement alone cannot tell the cycles apart.
+    def test_two_triangles_are_not_a_hexagon(self):
+        two_triangles, hexagon = directed_cycles(3, 3), directed_cycles(6)
+        assert isomorphism_by_permutations(two_triangles, hexagon) is None
+        assert find_based_isomorphism(two_triangles, hexagon) is None
+
+    def test_a_wrong_first_pairing_is_backtracked(self):
+        first, second = directed_cycles(3, 6), directed_cycles(6, 3)
+        witness = find_based_isomorphism(first, second)
+        assert is_based_isomorphism(first, second, witness)
+        # Generator 0 lies on first's triangle and second's triangle has ids
+        # 6-8, so the search paired it with the hexagon first and backed out.
+        assert witness[0] >= 6
+
+
+class TestAgainstExhaustiveSearch:
+    """The search against every bijection, on seeded complexes of at most 7
+    generators with few gradings and monomials, so that many tie."""
+
+    def pairs(self, seed):
+        rng = random.Random(seed)
+        count = rng.randint(1, 7)
+        c = random_small_complex(rng, count)
+        order = rng.sample(range(count), count)
+        du, dv = rng.choice([(0, 1), (2, -1), (-1, -3)])
+        copy = relabelled(c, order)
+        # One arrow of the copy reversed: isomorphic or not by chance.
+        flipped = set(copy.arrows)
+        if flipped:
+            s, m, t = flipped.pop()
+            flipped.add(Arrow(t, m, s))
+        yield c, random_small_complex(rng, count), False
+        yield c, copy, False
+        yield c, make_complex(RINF, copy.generators, flipped), False
+        yield c, conjugate(c), False
+        yield c, conjugate(c), True
+        yield c, relabelled(c, order, du, dv), False
+        yield c, relabelled(c, order, du, dv), True
+
+    def test_agrees_and_every_witness_is_a_based_isomorphism(self):
+        verdicts = set()
+        for seed in range(150):
+            for kind, (first, second, shift) in enumerate(self.pairs(seed)):
+                expected = isomorphism_by_permutations(first, second, shift)
+                found = find_based_isomorphism(first, second, shift)
+                assert (found is None) == (expected is None), (seed, kind)
+                verdicts.add((kind, found is None))
+                if found is not None:
+                    assert list(found) == sorted(found)
+                    assert is_based_isomorphism(first, second, found, shift), seed
+        # Both verdicts for every kind of pair but the three exact copies.
+        assert len(verdicts) == 11
+
+
+class TestSearchBounds:
+    def test_1541_generator_realization_is_symmetric(self):
+        glued = realize(long_symmetric_sequence())
+        assert len(glued.generators) == 1541
+        witness = check_symmetry(glued)
+        assert is_based_isomorphism(glued, conjugate(glued), witness)
+
+    @pytest.mark.parametrize("h, seed", [(9, 0), (9, 1), (9, 2), (20, 0)])
+    def test_layered_probe_is_refuted_within_a_second(self, h, seed):
+        probe = layered_probe(h, seed)
+        assert len(probe.generators) == 4 * h
+        assert differential_square(probe) == {}
+        assert degree_violations(probe) == []
+        started = time.perf_counter()
+        assert check_symmetry(probe) is None
+        assert time.perf_counter() - started < 1.0
+
+    def test_ties_cost_individualizations_from_the_budget(self, monkeypatch):
+        c = build_standard(SignSequence((-1, 1)))
+        twins = disjoint_union(c, c)
+        assert is_based_isomorphism(twins, conjugate(twins), check_symmetry(twins))
+        monkeypatch.setattr(homology, "SEARCH_BUDGET", 0)
+        assert check_symmetry(c) == {0: 2, 1: 1, 2: 0}
+        with pytest.raises(SearchBudgetError):
+            check_symmetry(twins)
 
 
 class TestRealizationHomology:

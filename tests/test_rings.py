@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 
@@ -14,8 +16,10 @@ from tunnelfill import (
     build_standard,
     degree_violations,
     differential_square,
+    parse,
     realize,
 )
+from tunnelfill import rings
 from tunnelfill.rings import (
     R1,
     R2,
@@ -50,6 +54,26 @@ class TestMonomialZero:
         assert R1 < R2 < RINF
         assert RingLevel(5) < RINF
         assert not RINF < RINF
+
+
+class TestMonomialInterning:
+    def test_interned_constructor_shares_and_validates(self):
+        assert Monomial.of(3, 4) is Monomial.of(3, 4) == Monomial(3, 4)
+        with pytest.raises(ConstructionError):
+            Monomial.of(-1, 0)
+
+    def test_fresh_exponents_leave_the_cache_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(rings, "_INTERNED_LIMIT", 64)
+        gens = [{"name": name, "gr": [0, 0]} for name in "abc"]
+        for k in range(1000, 1200):
+            arrows = [
+                {"from": "a", "to": "b", "u": k, "v": 1},
+                {"from": "b", "to": "c", "u": 1, "v": k},
+            ]
+            doc = json.dumps({"ring": "Rinf", "generators": gens, "arrows": arrows})
+            square = differential_square(parse(doc))
+            assert square == {0: {(2, Monomial(k + 1, k + 1)): 1}}
+            assert len(rings._MONOMIALS) <= 64
 
 
 class TestReduceLift:

@@ -15,13 +15,8 @@ from tunnelfill import (
 )
 from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
-from tunnelfill.rings import add_arrows
-from tunnelfill.standard import (
-    _GENERATORS,
-    _INTERNED_LIMIT,
-    _STEPS,
-    build_extended,
-)
+from tunnelfill.rings import _INTERNED_LIMIT, add_arrows
+from tunnelfill.standard import _GENERATORS, _STEPS, build_extended
 from conftest import candidate_monomial, named_arrows, sign_sequences
 
 
