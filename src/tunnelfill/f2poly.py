@@ -255,8 +255,16 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
 
 
 def snf_diagonal(m: PolyMatrix) -> tuple[Poly, ...]:
+    """The invariant factors of m, equal to smith_normal_form(m)[1].diagonal().
+
+    A matrix with at most one nonzero entry per row and per column is a
+    diagonal one up to permutation. If its entries, sorted by degree, each
+    divide the next, they already are the invariant factors and are read
+    off; any other matrix is eliminated.
+    """
+    cols = [j for row in m.rows for j, e in enumerate(row) if e]
+    if len(cols) == len(set(cols)) == sum(1 for row in m.rows if any(row)):
+        entries = sorted((e for row in m.rows for e in row if e), key=pdeg)
+        if all(pdivides(a, b) for a, b in zip(entries, entries[1:])):
+            return tuple(entries) + (0,) * (min(m.nrows, m.ncols) - len(entries))
     return smith_normal_form(m)[1].diagonal()
-
-
-def snf_rank(m: PolyMatrix) -> int:
-    return sum(1 for d in snf_diagonal(m) if d)

@@ -9,7 +9,9 @@ from typing import Any
 
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
+from tunnelfill import f2poly
 from tunnelfill import (
     Arrow,
     BasedComplex,
@@ -28,6 +30,21 @@ hypothesis.settings.register_profile(
     "suite", max_examples=60, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The matrices passed to f2poly.smith_normal_form during the test, seen
+    through the module binding that snf_diagonal falls back to."""
+    calls = []
+    original = f2poly.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(f2poly, "smith_normal_form", counting)
+    return calls
 
 
 def nonzero_ints(max_abs: int):

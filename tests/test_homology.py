@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from tunnelfill import (
+    BasedComplex,
     Generator,
     Grading,
     Monomial,
@@ -16,6 +18,7 @@ from tunnelfill import (
     check_symmetry,
     degree_violations,
     differential_square,
+    parse,
     realize,
 )
 from tunnelfill import homology
@@ -261,3 +264,44 @@ class TestRealizationHomology:
     def test_glued_output_passes(self):
         glued = realize(SignSequence((2, 2)))
         assert has_correct_homology(glued)
+
+
+def dense_document(matrix) -> str:
+    """A document whose C/U quotient is the single block t*matrix: entry
+    (i, j) = t*p(t) becomes one arrow c_j -> V^v r_i per term t^v."""
+    generators = [{"name": f"r{i}", "gr": [0, 1]} for i in range(len(matrix))]
+    generators += [{"name": f"c{j}", "gr": [1, 0]} for j in range(len(matrix[0]))]
+    arrows = [
+        {"from": f"c{j}", "to": f"r{i}", "u": 0, "v": v}
+        for i, row in enumerate(matrix)
+        for j, entry in enumerate(row)
+        for v in range(1, 5)
+        if (entry << 1) >> v & 1
+    ]
+    return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
+
+
+class TestSnfTraffic:
+    """Homology reads the Smith form off the blocks of realizations and
+    eliminates only blocks that need it."""
+
+    def test_realizations_need_no_elimination(self, snf_calls):
+        rng = random.Random(10)
+        realized = 0
+        while realized < 30:
+            n = rng.randint(1, 8)
+            entries = tuple(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(2 * n))
+            glued = realize(SignSequence(entries))
+            if not isinstance(glued, BasedComplex):
+                continue
+            realized += 1
+            assert all(r.verdict for r in check_correct_homology(glued))
+        assert snf_calls == []
+
+    def test_dense_document_is_eliminated(self, snf_calls):
+        reports = check_correct_homology(parse(dense_document(((1, 2), (3, 1)))))
+        assert len(snf_calls) >= 1
+        # The block [[t, t^2], [t^2+t, t]] has invariant factors t and
+        # t(t^2+t+1); every arrow carries V, so C/V is four free generators.
+        assert reports[0].torsion_orders == ((0, (1, 3)),)
+        assert [r.free_rank_total for r in reports] == [0, 4]
