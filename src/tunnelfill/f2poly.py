@@ -70,56 +70,8 @@ class PolyMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = 0
-                for k in range(self.ncols):
-                    acc ^= pmul(self.rows[i][k], other.rows[k][j])
-                row.append(acc)
-            rows.append(tuple(row))
-        return PolyMatrix(tuple(rows))
-
     def diagonal(self) -> tuple[Poly, ...]:
         return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-            if i != j
-        )
-
-
-def pdet(m: PolyMatrix) -> Poly:
-    """Determinant of a square matrix by fraction-free elimination."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    a = [list(r) for r in m.rows]
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pmul(a[i][j], a[k][k]) ^ pmul(a[i][k], a[k][j])
-                q, r = pdivmod(num, prev)
-                assert r == 0, "fraction-free elimination left a remainder"
-                a[i][j] = q
-            a[i][k] = 0
-        prev = a[k][k]
-    return a[n - 1][n - 1]
 
 
 def rank(m: PolyMatrix) -> int:

@@ -10,6 +10,15 @@ vertical) arrow at the far end of the path. When that adjacent arrow is
 missing, points the wrong way, or is too long, no augmentation exists and
 the complex is not liftable.
 
+Each stage finds its terms once, each with its witnessing path. On a
+complex that records its chain ``links``, stage 1 is read off them: the
+only two-arrow paths run through one generator, along two consecutive
+links of the same sign, and the term survives iff one of the two lengths
+is 1. So a decision settled at stage 1 builds no adjacency index. Every
+later stage takes one pass over the two-arrow paths, grouped by term;
+paths that cancel in pairs drop out. ``differential_square`` is not used
+here: it stays the independent check of the finished complex.
+
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set.
 """
@@ -26,7 +35,6 @@ from .rings import (
     BasedComplex,
     Monomial,
     add_arrows,
-    differential_square,
     lift_to,
 )
 from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
@@ -74,10 +82,6 @@ class PartialRealization:
         fields["complex"] = complex
         fields["added"] = added
 
-    @property
-    def added_arrows(self) -> frozenset[Arrow]:
-        return frozenset(e.added for e in self.added)
-
 
 @dataclass(frozen=True)
 class NotRealizable:
@@ -102,25 +106,17 @@ def canonicalize_schedule(pending: Sequence[Cause]) -> tuple[Cause, ...]:
     return tuple(sorted(pending, key=_cause_key))
 
 
-def _contributing_paths(complex, cause):
-    x, mono, y = cause
-    out = complex.outgoing
-    paths = []
-    for first in out.get(x, ()):
-        for second in out.get(first.target, ()):
-            if second.target != y:
-                continue
-            m = first.monomial * second.monomial
-            if m == mono and not m.is_zero_in(complex.ring):
-                paths.append((first, second))
-    return paths
-
-
 def _unique_adjacent(complex, gid, kind):
-    """The at-most-one horizontal (resp. vertical) arrow touching gid."""
+    """The at-most-one horizontal (resp. vertical) arrow touching gid: one of
+    its two links on a chain, otherwise found through the adjacency index."""
+    links = complex.links
+    if links is not None:
+        touching = links[max(gid - 1, 0) : gid + 1]
+    else:
+        touching = (*complex.outgoing.get(gid, ()), *complex.incoming.get(gid, ()))
     found = [
         a
-        for a in (*complex.outgoing.get(gid, ()), *complex.incoming.get(gid, ()))
+        for a in touching
         if (a.monomial.is_horizontal if kind == "h" else a.monomial.is_vertical)
     ]
     if len(found) > 1:
@@ -197,17 +193,66 @@ def forced_response(
     return event if event is not None else obstructions
 
 
-def _visible_causes(complex) -> list[Cause]:
-    causes = []
-    for x, terms in differential_square(complex).items():
-        for y, mono in terms:
-            if mono.min_exp == 0:
-                raise InternalError(
-                    f"d^2 term {mono} from {x} to {y} has a zero exponent; "
-                    "two parallel non-diagonal arrows should be impossible"
-                )
-            causes.append((x, mono, y))
+# The causes of one stage, each with its single witnessing path.
+StageCauses = dict[Cause, tuple[Arrow, Arrow]]
+
+
+def _link_causes(links: Sequence[Arrow]) -> StageCauses:
+    """Stage 1 of a chain. Links j and j + 1 meet at generator j + 1 and form
+    a path when one enters it and the other leaves; that path is the only
+    one between its ends. One link is horizontal and the other vertical, so
+    the term survives over R2 iff one of their lengths is 1."""
+    causes: StageCauses = {}
+    for left, right in zip(links, links[1:]):
+        if left.target == right.source:
+            first, second = left, right
+        elif right.target == left.source:
+            first, second = right, left
+        else:
+            continue
+        u = first.monomial.u + second.monomial.u
+        v = first.monomial.v + second.monomial.v
+        if u == 1 or v == 1:
+            causes[first.source, Monomial.of(u, v), second.target] = (first, second)
     return causes
+
+
+def _path_causes(complex: BasedComplex) -> StageCauses:
+    """Every d^2 term over R2, from one pass over the two-arrow paths: paths
+    are grouped by (source, monomial, target), and a group of even size
+    cancels."""
+    out = complex.outgoing
+    level = R2.level
+    found: StageCauses = {}
+    repeats: dict[Cause, int] = {}
+    for first in complex.arrows:
+        seconds = out.get(first.target)
+        if seconds is None:
+            continue
+        m1 = first.monomial
+        for second in seconds:
+            m2 = second.monomial
+            u, v = m1.u + m2.u, m1.v + m2.v
+            if u >= level and v >= level:
+                continue
+            cause = (first.source, Monomial.of(u, v), second.target)
+            if cause in found:
+                repeats[cause] = repeats.get(cause, 1) + 1
+            else:
+                found[cause] = (first, second)
+    for cause, count in repeats.items():
+        if count % 2:
+            raise InternalError(
+                f"cause {cause} has {count} contributing paths; expected 1"
+            )
+        del found[cause]
+    for x, mono, y in found:
+        if mono.min_exp == 0:
+            raise InternalError(
+                f"d^2 term {mono} from {x} to {y} has a zero exponent; "
+                "two parallel non-diagonal arrows should be impossible"
+            )
+    return found
 
 
 def _arrow_budget(complex) -> int:
@@ -228,27 +273,29 @@ def partial_realize(
     """
     current = lift_to(complex, R2)
     events: list[ForcedArrowEvent] = []
+    links = complex.links
+    causes = _path_causes(current) if links is None else _link_causes(links)
 
     while True:
-        causes = _visible_causes(current)
         if not causes:
             return PartialRealization(current, tuple(events))
         pending = canonicalize_schedule(causes)
-        selected = pending if scheduler is None else tuple(scheduler(pending))
-        if not selected:
-            raise InternalError("scheduler selected no causes")
-        if any(c not in pending for c in selected):
-            raise InternalError("scheduler selected a cause that is not pending")
+        selected = pending
+        if scheduler is not None:
+            selected = tuple(scheduler(pending))
+            if not selected:
+                raise InternalError("scheduler selected no causes")
+            if any(c not in causes for c in selected):
+                raise InternalError("scheduler selected a cause that is not pending")
 
         obstructions: list[Obstruction] = []
         stage_events: list[ForcedArrowEvent] = []
+        # Every added arrow is diagonal, so on a chain the input's links stay
+        # the only horizontal and vertical arrows, and forced_response reads
+        # them instead of building the adjacency index.
+        adjacency = current if links is None else complex
         for cause in selected:
-            paths = _contributing_paths(current, cause)
-            if len(paths) != 1:
-                raise InternalError(
-                    f"cause {cause} has {len(paths)} contributing paths; expected 1"
-                )
-            response = forced_response(current, cause, paths[0])
+            response = forced_response(adjacency, cause, causes[cause])
             if isinstance(response, ForcedArrowEvent):
                 stage_events.append(response)
             else:
@@ -275,6 +322,7 @@ def partial_realize(
                 f"added more than {budget} arrows; the procedure must terminate sooner"
             )
         current = add_arrows(current, new_arrows, color=ADDED_COLOR)
+        causes = _path_causes(current)
 
 
 def decide(

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import (
     ConstructionError,
     InvalidLiftError,
-    InvalidReductionError,
     UnknownGeneratorError,
 )
 
@@ -95,10 +94,6 @@ class Monomial(_MonomialFields):
     @property
     def is_vertical(self) -> bool:
         return self.u == 0 and self.v > 0
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.u > 0 and self.v > 0
 
     def __str__(self) -> str:
         return f"U^{self.u}V^{self.v}"
@@ -222,12 +217,6 @@ class BasedComplex:
             raise UnknownGeneratorError(f"no generator with id {gid}")
         return self.generators[gid]
 
-    def id_of(self, name: str) -> int:
-        for g in self.generators:
-            if g.name == name:
-                return g.gid
-        raise UnknownGeneratorError(f"no generator named {name!r}")
-
     def grading(self, gid: int) -> Grading:
         return self.generator(gid).grading
 
@@ -238,6 +227,11 @@ class BasedComplex:
     # set's iteration order, so a caller that needs an order sorts.
     outgoing = _Adjacency(0)
     incoming = _Adjacency(2)
+
+    # The arrows in chain order, links[j] joining ids j and j + 1, on a
+    # complex built as a chain; a builder stores the tuple in the instance
+    # dict. Not a field, so equality and repr ignore it.
+    links = None
 
 
 def make_complex(
@@ -296,17 +290,6 @@ def add_arrows(
             if color is not None:
                 colors[a] = color
     return BasedComplex(complex.ring, complex.generators, frozenset(arrows), colors)
-
-
-def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
-    """Pass to a smaller quotient, deleting arrows that die there."""
-    if complex.ring < target:
-        raise InvalidReductionError(
-            f"cannot reduce {complex.ring} to the larger ring {target}"
-        )
-    kept = frozenset(a for a in complex.arrows if not a.monomial.is_zero_in(target))
-    colors = {a: c for a, c in complex.colors.items() if a in kept}
-    return BasedComplex(target, complex.generators, kept, colors)
 
 
 def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:

@@ -125,7 +125,9 @@ def build_standard(seq: SignSequence) -> BasedComplex:
         gens.append(_GENERATORS[i, gu, gv])
         arrows.append(arrow)
     # The chain is valid by construction; skip make_complex revalidation.
-    return BasedComplex(R1, tuple(gens), frozenset(arrows))
+    complex = BasedComplex(R1, tuple(gens), frozenset(arrows))
+    complex.__dict__["links"] = tuple(arrows)
+    return complex
 
 
 def build_extended(ext: ExtendedSignSequence) -> BasedComplex:
@@ -159,5 +161,7 @@ def build_extended(ext: ExtendedSignSequence) -> BasedComplex:
     # Subscript k in -1..2n+1 lives at generator id k + 1, so the entry at
     # chain position p joins ids p and p + 1.
     arrows = [_chain_arrow(p, a, p, p + 1) for p, a in enumerate(ext.entries)]
-    return make_complex(R1, gens, arrows)
+    complex = make_complex(R1, gens, arrows)
+    complex.__dict__["links"] = tuple(arrows)
+    return complex
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -19,11 +20,15 @@ from tunnelfill import (
     DocumentError,
     Generator,
     Grading,
+    InvalidReductionError,
     Monomial,
+    PartialRealization,
     SignSequence,
+    UnknownGeneratorError,
     build_standard,
 )
-from tunnelfill.rings import R2, RINF, add_arrows, lift_to, make_complex
+from tunnelfill.f2poly import Poly, PolyMatrix, pdivmod, pmul
+from tunnelfill.rings import R2, RINF, RingLevel, add_arrows, lift_to, make_complex
 from tunnelfill.serial import RING_NAMES
 
 hypothesis.settings.register_profile(
@@ -111,8 +116,34 @@ def based_complexes(draw, max_n: int = 2, max_abs: int = 3):
     return add_arrows(complex, extras)
 
 
+def id_of(complex: BasedComplex, name: str) -> int:
+    for g in complex.generators:
+        if g.name == name:
+            return g.gid
+    raise UnknownGeneratorError(f"no generator named {name!r}")
+
+
 def arrow_by_names(complex: BasedComplex, source: str, u: int, v: int, target: str):
-    return Arrow(complex.id_of(source), Monomial(u, v), complex.id_of(target))
+    return Arrow(id_of(complex, source), Monomial(u, v), id_of(complex, target))
+
+
+def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
+    """Pass to a smaller quotient, deleting arrows that die there."""
+    if complex.ring < target:
+        raise InvalidReductionError(
+            f"cannot reduce {complex.ring} to the larger ring {target}"
+        )
+    kept = frozenset(a for a in complex.arrows if not a.monomial.is_zero_in(target))
+    colors = {a: c for a, c in complex.colors.items() if a in kept}
+    return BasedComplex(target, complex.generators, kept, colors)
+
+
+def is_diagonal(mono: Monomial) -> bool:
+    return mono.u > 0 and mono.v > 0
+
+
+def added_arrows(outcome: PartialRealization) -> frozenset[Arrow]:
+    return frozenset(e.added for e in outcome.added)
 
 
 def named_arrows(complex: BasedComplex) -> set[tuple[str, int, int, str]]:
@@ -173,6 +204,58 @@ def disjoint_union(first: BasedComplex, second: BasedComplex) -> BasedComplex:
         Arrow(offset + a.source, a.monomial, offset + a.target) for a in second.arrows
     ]
     return make_complex(first.ring, gens, arrows)
+
+
+def matmul(left: PolyMatrix, right: PolyMatrix) -> PolyMatrix:
+    if left.ncols != right.nrows:
+        raise ValueError("dimension mismatch")
+    rows = []
+    for i in range(left.nrows):
+        row = []
+        for j in range(right.ncols):
+            acc = 0
+            for k in range(left.ncols):
+                acc ^= pmul(left.rows[i][k], right.rows[k][j])
+            row.append(acc)
+        rows.append(tuple(row))
+    return PolyMatrix(tuple(rows))
+
+
+def product(*factors: PolyMatrix) -> PolyMatrix:
+    """The product of the factors, multiplied left to right."""
+    return functools.reduce(matmul, factors)
+
+
+def is_diagonal_matrix(m: PolyMatrix) -> bool:
+    return all(
+        m.rows[i][j] == 0 for i in range(m.nrows) for j in range(m.ncols) if i != j
+    )
+
+
+def pdet(m: PolyMatrix) -> Poly:
+    """Determinant of a square matrix by fraction-free elimination."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    a = [list(r) for r in m.rows]
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = pmul(a[i][j], a[k][k]) ^ pmul(a[i][k], a[k][j])
+                q, r = pdivmod(num, prev)
+                assert r == 0, "fraction-free elimination left a remainder"
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return a[n - 1][n - 1]
 
 
 def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:

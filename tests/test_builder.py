@@ -26,9 +26,9 @@ from tunnelfill.builder import (
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import find_based_isomorphism, has_correct_homology
-from tunnelfill.rings import R1, R2, RINF, lift_to, reduce_to
+from tunnelfill.rings import R1, R2, RINF, lift_to
 from tunnelfill.standard import build_extended
-from conftest import sign_sequences, subcomplex, undirected_components
+from conftest import id_of, reduce_to, sign_sequences, subcomplex, undirected_components
 
 EXAMPLE = SignSequence((-1, 1, 2, -1, 1, 3))
 
@@ -199,7 +199,7 @@ class TestGluing:
 
     def test_worked_example_seam(self):
         glued = realize(EXAMPLE)
-        z = glued.id_of("z")
+        z = id_of(glued, "z")
         into_z = sorted(
             glued.generator(a.source).name for a in glued.arrows if a.target == z
         )
@@ -210,8 +210,8 @@ class TestGluing:
         glued = realize(EXAMPLE)
         u_side, v_side = check_correct_homology(glued)
         assert u_side.verdict and v_side.verdict
-        assert glued.grading(glued.id_of("x0")).gu == 0
-        assert glued.grading(glued.id_of("x6")).gv == 0
+        assert glued.grading(id_of(glued, "x0")).gu == 0
+        assert glued.grading(id_of(glued, "x6")).gv == 0
 
     def test_mod_uv_reduction_contains_the_standard_summand(self):
         seq = SignSequence((2, 2))
@@ -220,7 +220,7 @@ class TestGluing:
         pieces = undirected_components(reduced)
         assert len(pieces) == 2
         standard = build_standard(seq)
-        with_x0 = next(p for p in pieces if reduced.id_of("x0") in p)
+        with_x0 = next(p for p in pieces if id_of(reduced, "x0") in p)
         part = subcomplex(reduced, with_x0)
         assert find_based_isomorphism(part, standard) is not None
 

@@ -7,7 +7,6 @@ from hypothesis import example, given
 from tunnelfill.f2poly import (
     PolyMatrix,
     pdeg,
-    pdet,
     pdivides,
     pdivmod,
     pmul,
@@ -15,6 +14,7 @@ from tunnelfill.f2poly import (
     smith_normal_form,
     snf_diagonal,
 )
+from conftest import is_diagonal_matrix, pdet, product
 
 T = 0b10  # the variable t
 
@@ -68,25 +68,25 @@ class TestSmithNormalForm:
     def test_single_entry(self):
         left, diag, right = smith_normal_form(PolyMatrix(((T,),)))
         assert diag.rows == ((T,),)
-        assert (left @ diag @ right).rows == ((T,),)
+        assert product(left, diag, right).rows == ((T,),)
 
     def test_upper_triangular_example(self):
         m = PolyMatrix(((T, pmul(T, T)), (0, pmul(T, pmul(T, T)))))
         left, diag, right = smith_normal_form(m)
         assert diag.diagonal() == (T, pmul(T, pmul(T, T)))
-        assert left @ diag @ right == m
+        assert product(left, diag, right) == m
 
     def test_zero_matrix(self):
         m = PolyMatrix(((0, 0),) * 3)
         left, diag, right = smith_normal_form(m)
         assert diag == m
-        assert left @ diag @ right == m
+        assert product(left, diag, right) == m
 
     @given(matrices)
     def test_snf_contract(self, m):
         left, diag, right = smith_normal_form(m)
-        assert left @ diag @ right == m
-        assert diag.is_diagonal()
+        assert product(left, diag, right) == m
+        assert is_diagonal_matrix(diag)
         d = diag.diagonal()
         for i in range(len(d) - 1):
             assert pdivides(d[i], d[i + 1])
@@ -105,7 +105,7 @@ class TestSmithNormalForm:
                 tuple(tuple(rng.randrange(16) for _ in range(nc)) for _ in range(nr))
             )
             left, diag, right = smith_normal_form(m)
-            assert left @ diag @ right == m
+            assert product(left, diag, right) == m
             assert sum(1 for d in snf_diagonal(m) if d) == rank(m)
 
 

@@ -1,10 +1,16 @@
+import functools
 import itertools
 import random
 
+import pytest
 from hypothesis import given
 
 from tunnelfill import (
     Arrow,
+    ExtendedSignSequence,
+    Generator,
+    Grading,
+    InternalError,
     Monomial,
     NotRealizable,
     PartialRealization,
@@ -12,10 +18,20 @@ from tunnelfill import (
     build_standard,
     decide,
     differential_square,
+    filler,
+    rings,
 )
-from tunnelfill.filler import canonicalize_schedule, forced_response
-from tunnelfill.rings import R1, R2, lift_to, reduce_to
-from conftest import sign_sequences
+from tunnelfill.census import census_sequences
+from tunnelfill.filler import (
+    _link_causes,
+    _path_causes,
+    canonicalize_schedule,
+    forced_response,
+    partial_realize,
+)
+from tunnelfill.rings import R1, R2, add_arrows, lift_to, make_complex
+from tunnelfill.standard import build_extended
+from conftest import id_of, reduce_to, sign_sequences
 
 
 def run(*entries, scheduler=None):
@@ -91,7 +107,7 @@ class TestWorkedExamples:
 
 def test_forced_response_cases():
     c = lift_to(build_standard(SignSequence((-1, 1, 2, -1, 1, 2))), R2)
-    x = c.id_of
+    x = functools.partial(id_of, c)
     cause = (x("x3"), Monomial(2, 1), x("x1"))
     path = (Arrow(x("x3"), Monomial(2, 0), x("x2")), Arrow(x("x2"), Monomial(0, 1), x("x1")))
     event = forced_response(c, cause, path)
@@ -99,7 +115,7 @@ def test_forced_response_cases():
     assert event.case_tag == "horizontal-first"
 
     c = lift_to(build_standard(SignSequence((-1, 1, 2, -1, 1, 3))), R2)
-    x = c.id_of
+    x = functools.partial(id_of, c)
     cause = (x("x6"), Monomial(1, 3), x("x4"))
     path = (Arrow(x("x6"), Monomial(0, 3), x("x5")), Arrow(x("x5"), Monomial(1, 0), x("x4")))
     event = forced_response(c, cause, path)
@@ -107,7 +123,7 @@ def test_forced_response_cases():
     assert event.case_tag == "vertical-first"
 
     c = lift_to(build_standard(SignSequence((1, 1))), R2)
-    x = c.id_of
+    x = functools.partial(id_of, c)
     cause = (x("x2"), Monomial(1, 1), x("x0"))
     path = (Arrow(x("x2"), Monomial(0, 1), x("x1")), Arrow(x("x1"), Monomial(1, 0), x("x0")))
     response = forced_response(c, cause, path)
@@ -221,3 +237,148 @@ class TestSubstringRule:
     def test_paper_instances(self):
         assert isinstance(run(2, 1, -3, 1), NotRealizable)
         assert isinstance(run(-8, 2, 1, 2), NotRealizable)
+
+
+def terms_of(complex):
+    """The d^2 terms of the verifier, as causes."""
+    return {(x, m, y) for x, terms in differential_square(complex).items() for y, m in terms}
+
+
+def all_paths(complex):
+    """Every two-arrow path, by (source, monomial, target), with no
+    cancellation and no reduction: the brute-force reference walk."""
+    by_source = {}
+    for a in complex.arrows:
+        by_source.setdefault(a.source, []).append(a)
+    paths = {}
+    for first in complex.arrows:
+        for second in by_source.get(first.target, ()):
+            cause = (first.source, first.monomial * second.monomial, second.target)
+            paths.setdefault(cause, []).append((first, second))
+    return paths
+
+
+def assert_stage_matches(causes, complex):
+    """``causes`` are exactly the verifier's d^2 terms of ``complex``, each
+    with its one and only path as witness."""
+    assert set(causes) == terms_of(complex)
+    paths = all_paths(complex)
+    for cause, witness in causes.items():
+        assert paths[cause] == [witness], cause
+
+
+def small_census():
+    """Every sequence with n <= 2, |a| <= 4 and with n = 3, |a| <= 3."""
+    yield from census_sequences(2, 4)
+    values = [a for a in range(-3, 4) if a != 0]
+    for entries in itertools.product(values, repeat=6):
+        yield SignSequence(entries)
+
+
+class TestStageCauses:
+    def test_link_stage_is_the_square_of_the_standard_complex(self):
+        with_terms = 0
+        for seq in small_census():
+            c = build_standard(seq)
+            causes = _link_causes(c.links)
+            assert_stage_matches(causes, lift_to(c, R2))
+            with_terms += bool(causes)
+        assert with_terms > 10_000
+
+    def test_link_stage_is_the_square_of_the_extended_complex(self):
+        ends = [a for a in range(-3, 4) if a != 0]
+        for body in census_sequences(2, 2):
+            for head, tail in itertools.product(ends, repeat=2):
+                c = build_extended(ExtendedSignSequence(head, body, tail))
+                assert_stage_matches(_link_causes(c.links), lift_to(c, R2))
+
+    def test_path_stage_on_obstructed_partial_progress(self):
+        checked = 0
+        for seq in itertools.islice(small_census(), 0, None, 7):
+            outcome = decide(seq)
+            if isinstance(outcome, NotRealizable):
+                progress = outcome.partial_progress
+                assert_stage_matches(_path_causes(progress), progress)
+                checked += 1
+        assert checked > 1_000
+
+    def test_path_stage_at_every_stage_of_the_ladder(self):
+        for k in (1, 2, 8, 32):
+            seq = SignSequence((-1, 1, 2, -1, 1, 3) * k)
+            outcome = decide(seq)
+            assert isinstance(outcome, PartialRealization)
+            current = lift_to(build_standard(seq), R2)
+            stages = 0
+            while True:
+                causes = _path_causes(current)
+                assert_stage_matches(causes, current)
+                if not causes:
+                    break
+                stages += 1
+                added = [e.added for e in outcome.added if e.cause in causes]
+                current = add_arrows(current, added, color="added")
+            assert current == outcome.complex
+            assert stages == (2 if k > 1 else 1)
+
+    def test_path_stage_cancels_pairs_and_rejects_odd_repeats(self):
+        gens = [Generator(i, f"g{i}", Grading(0, 0)) for i in range(5)]
+        u, v = Monomial(1, 0), Monomial(0, 1)
+        paths = [Arrow(0, u, m) for m in (1, 2, 3)] + [Arrow(m, v, 4) for m in (1, 2, 3)]
+        two = make_complex(R2, gens, paths[:2] + paths[3:5])
+        assert _path_causes(two) == {}
+        three = make_complex(R2, gens, paths)
+        with pytest.raises(InternalError, match="3 contributing paths"):
+            partial_realize(three)
+        straight = make_complex(R2, gens, [Arrow(0, u, 1), Arrow(1, u, 2)])
+        with pytest.raises(InternalError, match="zero exponent"):
+            partial_realize(straight)
+
+    def test_builders_record_links_outside_equality_and_repr(self):
+        seq = SignSequence((-1, 1, 2, -1, 1, 3))
+        for c in (build_standard(seq), build_extended(ExtendedSignSequence(2, seq, -1))):
+            plain = make_complex(c.ring, c.generators, c.arrows)
+            assert c == plain
+            assert "links" not in repr(c)
+            assert plain.links is None
+            assert set(c.links) == c.arrows
+            ends = [{a.source, a.target} for a in c.links]
+            assert ends == [{j, j + 1} for j in range(len(c.links))]
+
+
+class TestSchedulerChecks:
+    def test_a_cause_that_is_not_pending_is_refused(self):
+        with pytest.raises(InternalError, match="not pending"):
+            run(-1, 1, 2, -1, 1, 3, scheduler=lambda pending: [(0, Monomial(9, 1), 1)])
+
+    def test_an_empty_selection_is_refused(self):
+        with pytest.raises(InternalError, match="selected no causes"):
+            run(-1, 1, 2, -1, 1, 3, scheduler=lambda pending: [])
+
+
+class TestNoSquareInTheFiller:
+    @pytest.fixture(autouse=True)
+    def square_raises(self, monkeypatch):
+        def refuse(complex):
+            raise AssertionError("the filler computed d^2")
+
+        monkeypatch.setattr(rings, "differential_square", refuse)
+        assert not hasattr(filler, "differential_square")
+
+    def test_stage_one_obstruction_builds_no_index(self):
+        outcome = run(1, 1)
+        assert isinstance(outcome, NotRealizable)
+        assert obstructions_by_name(outcome) == [("x2", 1, 1, "x0", "no-adjacent-arrow")]
+        assert "outgoing" not in outcome.partial_progress.__dict__
+        assert "incoming" not in outcome.partial_progress.__dict__
+
+    def test_no_term_builds_no_index(self):
+        outcome = run(2, -3, 1, -1)
+        assert isinstance(outcome, PartialRealization)
+        assert outcome.added == ()
+        assert "outgoing" not in outcome.complex.__dict__
+        assert "incoming" not in outcome.complex.__dict__
+
+    def test_later_stages_take_the_path_pass(self):
+        outcome = run(-1, 1, 2, -1, 1, 3)
+        assert isinstance(outcome, PartialRealization)
+        assert len(outcome.added) == 2

@@ -17,11 +17,11 @@ from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import _INTERNED_LIMIT, add_arrows
 from tunnelfill.standard import _GENERATORS, _STEPS, build_extended
-from conftest import candidate_monomial, named_arrows, sign_sequences
+from conftest import candidate_monomial, id_of, named_arrows, sign_sequences
 
 
 def grading_of(complex, name):
-    g = complex.grading(complex.id_of(name))
+    g = complex.grading(id_of(complex, name))
     return (g.gu, g.gv)
 
 
@@ -138,11 +138,11 @@ class TestCandidateMonomial:
         c = build_standard(SignSequence((1, 1)))
         assert grading_of(c, "x0") == (0, 0)
         assert grading_of(c, "x2") == (0, 0)
-        assert candidate_monomial(c, c.id_of("x2"), c.id_of("x0")) is None
+        assert candidate_monomial(c, id_of(c, "x2"), id_of(c, "x0")) is None
 
     def test_forced_diagonal_between_corner_pair(self):
         c = build_standard(SignSequence((-1, 1, 2, -1, 1, 2)))
-        mono = candidate_monomial(c, c.id_of("x3"), c.id_of("x0"))
+        mono = candidate_monomial(c, id_of(c, "x3"), id_of(c, "x0"))
         assert (mono.u, mono.v) == (1, 1)
 
     def test_same_generator_rejected(self):
@@ -179,7 +179,7 @@ class TestNormalizationAnchors:
         std = build_standard(body)
         ext = build_extended(ExtendedSignSequence(4, body, -4))
         for i in range(7):
-            assert std.grading(std.id_of(f"x{i}")) == ext.grading(ext.id_of(f"x{i}"))
+            assert std.grading(id_of(std, f"x{i}")) == ext.grading(id_of(ext, f"x{i}"))
 
 
 class TestInterning:
