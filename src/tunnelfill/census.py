@@ -34,13 +34,16 @@ class CensusRow:
 
 def census_sequences(n_max: int, a_max: int) -> Iterator[SignSequence]:
     """All sequences of length 2..2*n_max with entries in +-1..+-a_max,
-    shortest first and lexicographic within a length."""
+    shortest first and lexicographic within a length. Bounds below 1 raise
+    here, before any sequence is drawn."""
     if n_max < 1 or a_max < 1:
         raise ConstructionError("census bounds must be at least 1")
     values = [a for a in range(-a_max, a_max + 1) if a != 0]
-    for n in range(1, n_max + 1):
-        for entries in itertools.product(values, repeat=2 * n):
-            yield SignSequence(entries)
+    return (
+        SignSequence(entries)
+        for n in range(1, n_max + 1)
+        for entries in itertools.product(values, repeat=2 * n)
+    )
 
 
 def decide_row(seq: SignSequence) -> CensusRow:
@@ -60,8 +63,7 @@ def decide_row(seq: SignSequence) -> CensusRow:
 
 
 def census_rows(n_max: int, a_max: int) -> Iterator[CensusRow]:
-    for seq in census_sequences(n_max, a_max):
-        yield decide_row(seq)
+    return map(decide_row, census_sequences(n_max, a_max))
 
 
 def write_census_csv(rows: Iterator[CensusRow], out: IO[str]) -> int:

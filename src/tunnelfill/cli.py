@@ -4,10 +4,11 @@ Subcommands: decide, realize, verify, census, render. The exit status
 reports whether the computation ran, not the mathematical verdict; JSON
 output carries the verdict for scripting.
 
-census writes its CSV, then a summary: the row count (for a file), the
-forced-arrow counts of the realizable rows against the n^2 + n bound, the
-obstruction reasons of the others, and with --oracle the cross-check
-result. With --out - the CSV alone goes to stdout and the summary to stderr.
+census writes its CSV one row at a time, keeping no row, then a summary:
+the row count (for a file), the forced-arrow counts of the realizable rows
+against the n^2 + n bound, the obstruction reasons of the others, and with
+--oracle the cross-check result; oracle disagreements go to stderr as they
+occur. With --out - the CSV alone goes to stdout and the summary to stderr.
 """
 
 from __future__ import annotations
@@ -206,33 +207,42 @@ def _verify(args) -> int:
 
 
 def _census(args) -> int:
-    rows = list(census_rows(args.n, args.max))
+    forced: Counter[int] = Counter()
+    reasons: Counter[str] = Counter()
+    disagreements = 0
+
+    def tallied(rows):
+        # Each row is counted and cross-checked on its way to the CSV, so
+        # no row is kept.
+        nonlocal disagreements
+        for row in rows:
+            if row.realizable:
+                forced[row.arrows_added] += 1
+            elif row.obstruction_reason:
+                reasons[row.obstruction_reason.split(" at ")[0]] += 1
+            if args.oracle:
+                complaint = cross_check_with_oracle(row)
+                if complaint:
+                    disagreements += 1
+                    print(f"oracle disagreement: {complaint}", file=sys.stderr)
+            yield row
+
+    rows = tallied(census_rows(args.n, args.max))
     if args.out == "-":
-        write_census_csv(iter(rows), sys.stdout)
+        count = write_census_csv(rows, sys.stdout)
         summary = sys.stderr
     else:
         with open(args.out, "w", encoding="utf-8") as handle:
-            count = write_census_csv(iter(rows), handle)
-        realizable = sum(1 for r in rows if r.realizable)
+            count = write_census_csv(rows, handle)
         summary = sys.stdout
-        print(f"wrote {count} rows ({realizable} REALIZABLE) to {args.out}")
-    forced = Counter(r.arrows_added for r in rows if r.realizable)
-    reasons = Counter(
-        r.obstruction_reason.split(" at ")[0] for r in rows if r.obstruction_reason
-    )
+        print(f"wrote {count} rows ({sum(forced.values())} REALIZABLE) to {args.out}")
     bound = args.n * args.n + args.n
     print(f"forced-arrow counts (bound {bound}): {dict(sorted(forced.items()))}", file=summary)
     print(f"obstruction reasons: {dict(reasons.most_common())}", file=summary)
+    if disagreements:
+        return 1
     if args.oracle:
-        disagreements = 0
-        for row in rows:
-            complaint = cross_check_with_oracle(row)
-            if complaint:
-                disagreements += 1
-                print(f"oracle disagreement: {complaint}", file=sys.stderr)
-        if disagreements:
-            return 1
-        print(f"oracle cross-check passed on {len(rows)} rows", file=summary)
+        print(f"oracle cross-check passed on {count} rows", file=summary)
     return 0
 
 

@@ -169,13 +169,10 @@ SEARCH_BUDGET = 1 << 10
 
 
 def find_based_isomorphism(
-    first: BasedComplex,
-    second: BasedComplex,
-    allow_grading_shift: bool = False,
+    first: BasedComplex, second: BasedComplex
 ) -> dict[int, int] | None:
     """A generator bijection matching gradings and the full arrow set, sorted
-    by key, or None. With ``allow_grading_shift`` the gradings may differ by
-    a single global offset.
+    by key, or None.
 
     Colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symb. Comput. 60, 2014) on both complexes at
@@ -184,15 +181,10 @@ def find_based_isomorphism(
     n = len(first.generators)
     if n != len(second.generators) or len(first.arrows) != len(second.arrows):
         return None
-    du = dv = 0
-    if allow_grading_shift and n:
-        # A shift keeps the lexicographic order, so it takes least to least.
-        low1 = min(g.grading for g in first.generators)
-        low2 = min(g.grading for g in second.generators)
-        du, dv = low2.gu - low1.gu, low2.gv - low1.gv
     # Vertex v < n is first's generator v, and v >= n is second's v - n.
-    colour = [(g.grading.gu + du, g.grading.gv + dv) for g in first.generators]
-    colour += [(g.grading.gu, g.grading.gv) for g in second.generators]
+    colour = [
+        (g.grading.gu, g.grading.gv) for c in (first, second) for g in c.generators
+    ]
     if sorted(colour[:n]) != sorted(colour[n:]):
         return None
     links: list[list[tuple[tuple[int, Monomial], int]]] = [[] for _ in colour]

@@ -27,7 +27,7 @@ def render_svg(complex: BasedComplex, labels: bool = True) -> str:
     """Lay the complex out on the lattice and emit an SVG document."""
     pos = lattice_positions(complex)
     segments = []
-    for arrow in complex.sorted_arrows():
+    for arrow in sorted(complex.arrows):
         src = pos[arrow.source]
         # Arrows end at the exact lattice displacement; for an essentially
         # infinite complex this may be a diagonal translate of the target dot.

@@ -220,9 +220,6 @@ class BasedComplex:
     def grading(self, gid: int) -> Grading:
         return self.generator(gid).grading
 
-    def sorted_arrows(self) -> list[Arrow]:
-        return sorted(self.arrows)
-
     # Read with .get(gid, ()) and never mutated; each list keeps the arrow
     # set's iteration order, so a caller that needs an order sorts.
     outgoing = _Adjacency(0)
@@ -345,4 +342,4 @@ def arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:
 
 def degree_violations(complex: BasedComplex) -> list[Arrow]:
     """Arrows breaking the degree equation; empty means the check passes."""
-    return [a for a in complex.sorted_arrows() if not arrow_degree_ok(complex, a)]
+    return sorted(a for a in complex.arrows if not arrow_degree_ok(complex, a))

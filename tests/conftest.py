@@ -18,6 +18,7 @@ from tunnelfill import (
     BasedComplex,
     ConstructionError,
     DocumentError,
+    ExtendedSignSequence,
     Generator,
     Grading,
     InvalidReductionError,
@@ -28,7 +29,7 @@ from tunnelfill import (
     build_standard,
 )
 from tunnelfill.f2poly import Poly, PolyMatrix, pdivmod, pmul
-from tunnelfill.rings import R2, RINF, RingLevel, add_arrows, lift_to, make_complex
+from tunnelfill.rings import R1, R2, RINF, RingLevel, add_arrows, lift_to, make_complex
 from tunnelfill.serial import RING_NAMES
 
 hypothesis.settings.register_profile(
@@ -114,6 +115,54 @@ def based_complexes(draw, max_n: int = 2, max_abs: int = 3):
             if arrow not in complex.arrows:
                 extras.append(arrow)
     return add_arrows(complex, extras)
+
+
+# The reference for standard.build_extended: the construction it replaced,
+# which builds the body with build_standard, recomputes the two ends and
+# every arrow, and checks the result with make_complex.
+def _chain_arrow(position: int, a: int, lo: int, hi: int) -> Arrow:
+    """The arrow of entry ``a`` at chain ``position``, between the ids of
+    x_{position-1} (``lo``) and x_position (``hi``): horizontal at odd
+    positions, vertical at even ones, pointing down the chain when a > 0."""
+    length = abs(a)
+    mono = Monomial.of(length, 0) if position % 2 else Monomial.of(0, length)
+    return Arrow(hi, mono, lo) if a > 0 else Arrow(lo, mono, hi)
+
+
+def reference_build_extended(ext: ExtendedSignSequence) -> BasedComplex:
+    """The extended standard complex, with generators x_-1 .. x_2n+1.
+
+    The body keeps the gradings of ``build_standard(ext.body)``; the two end
+    generators get the gradings forced by the degree equation.
+    """
+    body = build_standard(ext.body)
+    two_n = len(ext.body.entries)
+
+    # End gradings, forced by the head and tail arrows.
+    g0 = body.grading(0)
+    n1 = abs(ext.head)
+    if ext.head > 0:
+        # x_0 -> V^{n1} x_-1
+        g_head = g0.shifted(-1, 2 * n1 - 1)
+    else:
+        g_head = g0.shifted(1, -(2 * n1 - 1))
+    g_last = body.grading(two_n)
+    n2 = abs(ext.tail)
+    if ext.tail > 0:
+        # x_2n+1 -> U^{n2} x_2n
+        g_tail = g_last.shifted(-(2 * n2 - 1), 1)
+    else:
+        g_tail = g_last.shifted(2 * n2 - 1, -1)
+
+    gradings = [g_head] + [body.grading(i) for i in range(two_n + 1)] + [g_tail]
+    names = [f"x{k}" for k in range(-1, two_n + 2)]
+    gens = tuple(Generator(i, nm, gr) for i, (nm, gr) in enumerate(zip(names, gradings)))
+    # Subscript k in -1..2n+1 lives at generator id k + 1, so the entry at
+    # chain position p joins ids p and p + 1.
+    arrows = [_chain_arrow(p, a, p, p + 1) for p, a in enumerate(ext.entries)]
+    complex = make_complex(R1, gens, arrows)
+    complex.__dict__["links"] = tuple(arrows)
+    return complex
 
 
 def id_of(complex: BasedComplex, name: str) -> int:
@@ -267,7 +316,7 @@ def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str
         for g in complex.generators
     ]
     arrows = []
-    for a in complex.sorted_arrows():
+    for a in sorted(complex.arrows):
         entry: dict[str, Any] = {
             "from": complex.generator(a.source).name,
             "to": complex.generator(a.target).name,
@@ -348,6 +397,22 @@ def relabelled(complex: BasedComplex, order: list[int], du: int = 0, dv: int = 0
     )
     arrows = [Arrow(new_id[a.source], a.monomial, new_id[a.target]) for a in complex.arrows]
     return make_complex(complex.ring, gens, arrows)
+
+
+def translated_onto(complex: BasedComplex, other: BasedComplex) -> BasedComplex:
+    """``complex`` with every grading moved by the one offset that takes its
+    least grading onto the least of ``other``. A translation keeps the
+    lexicographic order, so that is the only offset a bijection of gradings
+    up to one global shift can use; unchanged when either is empty."""
+    if not complex.generators or not other.generators:
+        return complex
+    low = min(g.grading for g in complex.generators)
+    target = min(g.grading for g in other.generators)
+    du, dv = target.gu - low.gu, target.gv - low.gv
+    gens = tuple(
+        Generator(g.gid, g.name, g.grading.shifted(du, dv)) for g in complex.generators
+    )
+    return BasedComplex(complex.ring, gens, complex.arrows, complex.colors)
 
 
 def isomorphism_by_permutations(

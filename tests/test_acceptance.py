@@ -44,6 +44,7 @@ from conftest import (
     product,
     reduce_to,
     subcomplex,
+    translated_onto,
     undirected_components,
 )
 
@@ -241,7 +242,7 @@ def test_criterion_7_doubling_reduction():
             for piece in pieces:
                 part = subcomplex(reduced, piece)
                 assert find_based_isomorphism(
-                    part, reference, allow_grading_shift=True
+                    translated_onto(part, reference), reference
                 ) is not None, entries
 
 

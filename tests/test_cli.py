@@ -2,8 +2,9 @@ import json
 import shlex
 from pathlib import Path
 
-from tunnelfill import SignSequence, build_standard, serialize
-from tunnelfill import homology
+from tunnelfill import InternalError, SignSequence, build_standard, serialize
+from tunnelfill import cli, homology
+from tunnelfill.census import census_rows
 from tunnelfill.cli import main
 from conftest import disjoint_union, long_symmetric_sequence
 
@@ -202,6 +203,51 @@ class TestCensus:
             "obstruction reasons: {'no-adjacent-arrow': 2}",
             "oracle cross-check passed on 4 rows",
         ]
+
+
+class TestStreamingCensus:
+    """The census writes each row as it is decided and checked, keeping
+    none, so a failure leaves the rows before it written."""
+
+    def test_rows_before_a_failure_are_already_written(self, capsys, monkeypatch):
+        def failing_rows(n_max, a_max):
+            yield from list(census_rows(n_max, a_max))[:3]
+            raise InternalError("row 4 failed")
+
+        monkeypatch.setattr(cli, "census_rows", failing_rows)
+        code, out, err = run(capsys, "census", "--n", "1", "--max", "1", "--out", "-")
+        assert code == 1
+        assert out.splitlines() == [
+            "sequence;decision;arrows_added;obstruction_reason",
+            "-1,-1;NOT_REALIZABLE;0;no-adjacent-arrow at d2 x0 term U^1V^1 x2",
+            "-1,1;REALIZABLE;0;",
+            "1,-1;REALIZABLE;0;",
+        ]
+        assert err.splitlines() == ["error: row 4 failed"]
+
+    def test_a_disagreement_is_reported_as_it_occurs(self, capsys, monkeypatch):
+        def complaining(row):
+            return f"{row.sequence}: planted" if str(row.sequence) == "1,-1" else None
+
+        monkeypatch.setattr(cli, "cross_check_with_oracle", complaining)
+        code, out, err = run(
+            capsys, "census", "--n", "1", "--max", "1", "--out", "-", "--oracle"
+        )
+        assert code == 1
+        assert len(out.splitlines()) == 5
+        assert err.splitlines() == [
+            "oracle disagreement: 1,-1: planted",
+            "forced-arrow counts (bound 2): {0: 2}",
+            "obstruction reasons: {'no-adjacent-arrow': 2}",
+        ]
+
+    def test_bounds_below_one_fail_before_the_file_is_opened(self, capsys, tmp_path):
+        out_path = tmp_path / "census.csv"
+        code, out, err = run(capsys, "census", "--n", "0", "--max", "2", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: census bounds must be at least 1\n"
+        assert not out_path.exists()
 
 
 def readme_commands():

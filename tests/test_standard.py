@@ -17,7 +17,13 @@ from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import _INTERNED_LIMIT, add_arrows
 from tunnelfill.standard import _GENERATORS, _STEPS, build_extended
-from conftest import candidate_monomial, id_of, named_arrows, sign_sequences
+from conftest import (
+    candidate_monomial,
+    id_of,
+    named_arrows,
+    reference_build_extended,
+    sign_sequences,
+)
 
 
 def grading_of(complex, name):
@@ -182,6 +188,26 @@ class TestNormalizationAnchors:
             assert std.grading(id_of(std, f"x{i}")) == ext.grading(id_of(ext, f"x{i}"))
 
 
+class TestExtendedChain:
+    def test_matches_the_reference_construction(self):
+        ends = (-3, -2, -1, 1, 2, 3)
+        count = 0
+        for n in (1, 2):
+            for entries in itertools.product(ends, repeat=2 * n):
+                body = SignSequence(entries)
+                for head, tail in itertools.product(ends, repeat=2):
+                    ext = ExtendedSignSequence(head, body, tail)
+                    c, ref = build_extended(ext), reference_build_extended(ext)
+                    assert [g.name for g in c.generators] == [g.name for g in ref.generators]
+                    assert [g.grading for g in c.generators] == [
+                        g.grading for g in ref.generators
+                    ]
+                    assert c.links == ref.links
+                    assert c == ref
+                    count += 1
+        assert count == (6**2 + 6**4) * 6**2
+
+
 class TestInterning:
     def test_long_sequences_leave_the_caches_within_their_bound(self):
         rng = random.Random(4096)
@@ -194,6 +220,10 @@ class TestInterning:
         for entries in sequences:
             c = build_standard(SignSequence(entries))
             keys |= {(g.gid, g.grading) for g in c.generators}
+            assert len(_GENERATORS) <= _INTERNED_LIMIT
+            assert len(_STEPS) <= _INTERNED_LIMIT
+            # Extended chains share the caches, under keys of their own.
+            build_extended(ExtendedSignSequence(5, SignSequence(entries), -5))
             assert len(_GENERATORS) <= _INTERNED_LIMIT
             assert len(_STEPS) <= _INTERNED_LIMIT
         # Unbounded, the generator cache would now hold every key seen.
