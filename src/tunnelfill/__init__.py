@@ -18,7 +18,6 @@ from .errors import (
     ExtensionError,
     InternalError,
     InvalidLiftError,
-    InvalidReductionError,
     PlacementError,
     RenderError,
     SearchBudgetError,
@@ -86,7 +85,6 @@ __all__ = [
     "ExtensionError",
     "InternalError",
     "InvalidLiftError",
-    "InvalidReductionError",
     "PlacementError",
     "RenderError",
     "SearchBudgetError",

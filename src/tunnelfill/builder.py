@@ -171,7 +171,7 @@ def glue(doubled: DoubledComplex, seq: SignSequence) -> BasedComplex:
     """
     s = glue_offset(seq)
     complex = doubled.complex
-    pos = lattice_positions(complex, normalize=False, strict=True)
+    pos = lattice_positions(complex, strict=True)
 
     x_first, x_last = doubled.x_ids[0], doubled.x_ids[-1]
     y_first, y_last = doubled.y_ids[0], doubled.y_ids[-1]

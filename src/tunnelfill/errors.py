@@ -13,10 +13,6 @@ class UnknownGeneratorError(TunnelFillError):
     """A generator id or name does not belong to the complex."""
 
 
-class InvalidReductionError(TunnelFillError):
-    """Attempted to reduce to a ring level above the current one."""
-
-
 class InvalidLiftError(TunnelFillError):
     """Attempted to lift to a ring level below the current one."""
 

@@ -10,14 +10,17 @@ vertical) arrow at the far end of the path. When that adjacent arrow is
 missing, points the wrong way, or is too long, no augmentation exists and
 the complex is not liftable.
 
-Each stage finds its terms once, each with its witnessing path. On a
-complex that records its chain ``links``, stage 1 is read off them: the
-only two-arrow paths run through one generator, along two consecutive
-links of the same sign, and the term survives iff one of the two lengths
-is 1. So a decision settled at stage 1 builds no adjacency index. Every
-later stage takes one pass over the two-arrow paths, grouped by term;
-paths that cancel in pairs drop out. ``differential_square`` is not used
-here: it stays the independent check of the finished complex.
+The input is a chain built by ``build_standard`` or ``build_extended``,
+which records its arrows in chain order as ``links``, and every arrow the
+filler adds is diagonal. So each d^2 term is a two-arrow path through a
+link, and a decision keeps one table of them, from each term to its paths.
+The table starts with the paths along two consecutive links, and each stage
+adds only the paths that pair a newly added arrow with a link at either
+end: two added arrows compose to a term with both exponents at least 2,
+which vanishes. A stage's causes are the terms with an odd number of paths;
+paths that cancel in pairs drop out. The filler builds no adjacency index
+and builds its output complex once, at the end. ``differential_square`` is
+not used here: it stays the independent check of the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set.
@@ -26,9 +29,9 @@ any order (or all at once) and always converges to the same arrow set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InternalError
+from .errors import ConstructionError, InternalError
 from .rings import (
     R2,
     Arrow,
@@ -41,6 +44,13 @@ from .standard import ExtendedSignSequence, SignSequence, build_extended, build_
 
 # A d^2 term that must be cancelled: (source id, monomial, target id).
 Cause = tuple[int, Monomial, int]
+# A two-arrow path, first arrow then second.
+Path = tuple[Arrow, Arrow]
+# The causes of one stage, each with its single witnessing path.
+StageCauses = dict[Cause, Path]
+# The two-arrow paths of a decision's complex whose terms survive over R2,
+# by term.
+PathTable = dict[Cause, list[Path]]
 
 ADDED_COLOR = "added"
 
@@ -106,17 +116,12 @@ def canonicalize_schedule(pending: Sequence[Cause]) -> tuple[Cause, ...]:
     return tuple(sorted(pending, key=_cause_key))
 
 
-def _unique_adjacent(complex, gid, kind):
-    """The at-most-one horizontal (resp. vertical) arrow touching gid: one of
-    its two links on a chain, otherwise found through the adjacency index."""
-    links = complex.links
-    if links is not None:
-        touching = links[max(gid - 1, 0) : gid + 1]
-    else:
-        touching = (*complex.outgoing.get(gid, ()), *complex.incoming.get(gid, ()))
+def _unique_adjacent(links, gid, kind):
+    """The at-most-one horizontal (resp. vertical) arrow touching gid: one
+    of its two links, since every added arrow is diagonal."""
     found = [
         a
-        for a in touching
+        for a in links[max(gid - 1, 0) : gid + 1]
         if (a.monomial.is_horizontal if kind == "h" else a.monomial.is_vertical)
     ]
     if len(found) > 1:
@@ -127,9 +132,10 @@ def _unique_adjacent(complex, gid, kind):
 
 
 def forced_response(
-    complex: BasedComplex, cause: Cause, path: tuple[Arrow, Arrow]
+    links: Sequence[Arrow], cause: Cause, path: Path
 ) -> ForcedArrowEvent | list[Obstruction]:
-    """The unique legal reaction to one offending d^2 path.
+    """The unique legal reaction to one offending d^2 path on the chain
+    ``links``.
 
     With cause <d^2 x_i, U^a V^b x_j> = 1 and b = 1, the path contains one
     horizontal arrow:
@@ -166,7 +172,7 @@ def forced_response(
     for kind, pivot_is_target in analyses:
         budget = mono.u if kind == "h" else mono.v
         pivot = y if pivot_is_target else x
-        adjacent = _unique_adjacent(complex, pivot, kind)
+        adjacent = _unique_adjacent(links, pivot, kind)
         if adjacent is None:
             obstructions.append(Obstruction(cause, NO_ADJACENT))
             continue
@@ -193,66 +199,54 @@ def forced_response(
     return event if event is not None else obstructions
 
 
-# The causes of one stage, each with its single witnessing path.
-StageCauses = dict[Cause, tuple[Arrow, Arrow]]
+def _link_neighbours(links: Sequence[Arrow], arrows: Iterable[Arrow]):
+    """Each of ``arrows`` paired with each link that shares an end with it."""
+    for arrow in arrows:
+        for end in arrow.source, arrow.target:
+            for link in links[max(end - 1, 0) : end + 1]:
+                yield arrow, link
 
 
-def _link_causes(links: Sequence[Arrow]) -> StageCauses:
-    """Stage 1 of a chain. Links j and j + 1 meet at generator j + 1 and form
-    a path when one enters it and the other leaves; that path is the only
-    one between its ends. One link is horizontal and the other vertical, so
-    the term survives over R2 iff one of their lengths is 1."""
-    causes: StageCauses = {}
-    for left, right in zip(links, links[1:]):
-        if left.target == right.source:
-            first, second = left, right
-        elif right.target == left.source:
-            first, second = right, left
+def _file_paths(
+    table: PathTable,
+    pairs: Iterable[tuple[Arrow, Arrow]],
+    pending: Iterable[Cause] = (),
+) -> StageCauses:
+    """File the path that each pair of arrows forms, if it forms one, in
+    ``table`` under its d^2 term, unless the term vanishes over R2. Return
+    the causes among the terms filed and ``pending``: the terms with an odd
+    number of paths, each with its one path. Paths that cancel in pairs
+    drop out."""
+    level = R2.level
+    terms = [*pending]
+    for a, b in pairs:
+        if a.target == b.source:
+            first, second = a, b
+        elif b.target == a.source:
+            first, second = b, a
         else:
             continue
-        u = first.monomial.u + second.monomial.u
-        v = first.monomial.v + second.monomial.v
-        if u == 1 or v == 1:
-            causes[first.source, Monomial.of(u, v), second.target] = (first, second)
+        (u1, v1), (u2, v2) = first.monomial, second.monomial
+        u, v = u1 + u2, v1 + v2
+        if u < level or v < level:
+            term = (first.source, Monomial.of(u, v), second.target)
+            if not (u and v):
+                raise InternalError(
+                    f"d^2 term {term[1]} from {term[0]} to {term[2]} has a zero "
+                    "exponent; two parallel non-diagonal arrows should be impossible"
+                )
+            table.setdefault(term, []).append((first, second))
+            terms.append(term)
+    causes: StageCauses = {}
+    for term in terms:
+        filed = table[term]
+        if len(filed) == 1:
+            causes[term] = filed[0]
+        elif len(filed) % 2:
+            raise InternalError(
+                f"cause {term} has {len(filed)} contributing paths; expected 1"
+            )
     return causes
-
-
-def _path_causes(complex: BasedComplex) -> StageCauses:
-    """Every d^2 term over R2, from one pass over the two-arrow paths: paths
-    are grouped by (source, monomial, target), and a group of even size
-    cancels."""
-    out = complex.outgoing
-    level = R2.level
-    found: StageCauses = {}
-    repeats: dict[Cause, int] = {}
-    for first in complex.arrows:
-        seconds = out.get(first.target)
-        if seconds is None:
-            continue
-        m1 = first.monomial
-        for second in seconds:
-            m2 = second.monomial
-            u, v = m1.u + m2.u, m1.v + m2.v
-            if u >= level and v >= level:
-                continue
-            cause = (first.source, Monomial.of(u, v), second.target)
-            if cause in found:
-                repeats[cause] = repeats.get(cause, 1) + 1
-            else:
-                found[cause] = (first, second)
-    for cause, count in repeats.items():
-        if count % 2:
-            raise InternalError(
-                f"cause {cause} has {count} contributing paths; expected 1"
-            )
-        del found[cause]
-    for x, mono, y in found:
-        if mono.min_exp == 0:
-            raise InternalError(
-                f"d^2 term {mono} from {x} to {y} has a zero exponent; "
-                "two parallel non-diagonal arrows should be impossible"
-            )
-    return found
 
 
 def _arrow_budget(complex) -> int:
@@ -271,14 +265,20 @@ def partial_realize(
     ``scheduler`` restricts which visible causes are handled per round; it
     exists to demonstrate that the outcome is order-independent.
     """
-    current = lift_to(complex, R2)
-    events: list[ForcedArrowEvent] = []
     links = complex.links
-    causes = _path_causes(current) if links is None else _link_causes(links)
+    if links is None:
+        raise ConstructionError(
+            "partial_realize takes a chain built by build_standard or build_extended"
+        )
+    lifted = lift_to(complex, R2)
+    events: list[ForcedArrowEvent] = []
+    # The arrows added so far, in order of addition.
+    added: dict[Arrow, None] = {}
+    obstructions: list[Obstruction] = []
+    table: PathTable = {}
+    causes = _file_paths(table, zip(links, links[1:]))
 
-    while True:
-        if not causes:
-            return PartialRealization(current, tuple(events))
+    while causes:
         pending = canonicalize_schedule(causes)
         selected = pending
         if scheduler is not None:
@@ -288,41 +288,42 @@ def partial_realize(
             if any(c not in causes for c in selected):
                 raise InternalError("scheduler selected a cause that is not pending")
 
-        obstructions: list[Obstruction] = []
         stage_events: list[ForcedArrowEvent] = []
-        # Every added arrow is diagonal, so on a chain the input's links stay
-        # the only horizontal and vertical arrows, and forced_response reads
-        # them instead of building the adjacency index.
-        adjacency = current if links is None else complex
         for cause in selected:
-            response = forced_response(adjacency, cause, causes[cause])
+            response = forced_response(links, cause, causes[cause])
             if isinstance(response, ForcedArrowEvent):
                 stage_events.append(response)
             else:
                 obstructions.extend(response)
 
         if obstructions:
-            ordered = tuple(
-                sorted(set(obstructions), key=lambda o: (_cause_key(o.cause), o.reason))
-            )
-            return NotRealizable(ordered, current)
+            break
 
-        new_arrows = []
-        seen = set()
+        new: dict[Arrow, None] = {}
         for e in stage_events:
-            if e.added in current.arrows:
+            if e.added in added:
                 raise InternalError(f"forced arrow {e.added} is already present")
-            if e.added not in seen:
-                seen.add(e.added)
-                new_arrows.append(e.added)
+            new[e.added] = None
             events.append(e)
-        budget = _arrow_budget(current)
-        if len({e.added for e in events}) > budget:
+        added.update(new)
+        budget = _arrow_budget(complex)
+        if len(added) > budget:
             raise InternalError(
                 f"added more than {budget} arrows; the procedure must terminate sooner"
             )
-        current = add_arrows(current, new_arrows, color=ADDED_COLOR)
-        causes = _path_causes(current)
+        # Two added arrows compose to a term with both exponents at least 2,
+        # so every new path runs along a link. This stage's causes are
+        # checked again, since those the scheduler left out stay.
+        causes = _file_paths(table, _link_neighbours(links, new), causes)
+
+    # The output complex is built once, when the decision ends.
+    filled = add_arrows(lifted, added, color=ADDED_COLOR) if added else lifted
+    if obstructions:
+        ordered = tuple(
+            sorted(set(obstructions), key=lambda o: (_cause_key(o.cause), o.reason))
+        )
+        return NotRealizable(ordered, filled)
+    return PartialRealization(filled, tuple(events))
 
 
 def decide(

@@ -23,9 +23,10 @@ Position = tuple[int, int]
 
 
 def lattice_positions(
-    complex: BasedComplex, normalize: bool = True, strict: bool = False
+    complex: BasedComplex, strict: bool = False
 ) -> dict[int, Position]:
-    """Assign each generator a grid position via pos(target) = pos(source) - (u, v).
+    """Assign each generator a grid position via pos(target) = pos(source) - (u, v),
+    with the first generator at the origin.
 
     Raises RenderError if the arrow graph is disconnected, or if traversal
     paths disagree on a position (beyond a diagonal shift unless ``strict``).
@@ -62,8 +63,4 @@ def lattice_positions(
     if len(pos) != len(complex.generators):
         missing = [g.name for g in complex.generators if g.gid not in pos]
         raise RenderError(f"arrow graph is disconnected; unreachable: {missing}")
-    if normalize:
-        min_x = min(p[0] for p in pos.values())
-        min_y = min(p[1] for p in pos.values())
-        pos = {g: (x - min_x, y - min_y) for g, (x, y) in pos.items()}
     return pos

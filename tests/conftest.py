@@ -21,10 +21,10 @@ from tunnelfill import (
     ExtendedSignSequence,
     Generator,
     Grading,
-    InvalidReductionError,
     Monomial,
     PartialRealization,
     SignSequence,
+    TunnelFillError,
     UnknownGeneratorError,
     build_standard,
 )
@@ -174,6 +174,10 @@ def id_of(complex: BasedComplex, name: str) -> int:
 
 def arrow_by_names(complex: BasedComplex, source: str, u: int, v: int, target: str):
     return Arrow(id_of(complex, source), Monomial(u, v), id_of(complex, target))
+
+
+class InvalidReductionError(TunnelFillError):
+    """Attempted to reduce to a ring level above the current one."""
 
 
 def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:

@@ -27,9 +27,8 @@ PUBLIC = {
     "census_rows", "write_census_csv", "CensusRow", "oracle_decide", "OracleResult",
     # Errors
     "TunnelFillError", "ConstructionError", "DocumentError", "ExtensionError",
-    "InternalError", "InvalidLiftError", "InvalidReductionError",
-    "PlacementError", "RenderError", "SearchBudgetError", "SequenceParseError",
-    "UnknownGeneratorError",
+    "InternalError", "InvalidLiftError", "PlacementError", "RenderError",
+    "SearchBudgetError", "SequenceParseError", "UnknownGeneratorError",
 }
 
 
@@ -37,9 +36,9 @@ def test_star_import_binds_exactly_the_public_api():
     namespace = {}
     exec("from tunnelfill import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert set(namespace) == PUBLIC
-    assert len(tunnelfill.__all__) == 41
+    assert len(tunnelfill.__all__) == 40
 
 
 def test_readme_library_block_does_what_its_comments_say():

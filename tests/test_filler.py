@@ -7,9 +7,8 @@ from hypothesis import given
 
 from tunnelfill import (
     Arrow,
+    ConstructionError,
     ExtendedSignSequence,
-    Generator,
-    Grading,
     InternalError,
     Monomial,
     NotRealizable,
@@ -23,8 +22,6 @@ from tunnelfill import (
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import (
-    _link_causes,
-    _path_causes,
     canonicalize_schedule,
     forced_response,
     partial_realize,
@@ -106,27 +103,27 @@ class TestWorkedExamples:
 
 
 def test_forced_response_cases():
-    c = lift_to(build_standard(SignSequence((-1, 1, 2, -1, 1, 2))), R2)
+    c = build_standard(SignSequence((-1, 1, 2, -1, 1, 2)))
     x = functools.partial(id_of, c)
     cause = (x("x3"), Monomial(2, 1), x("x1"))
     path = (Arrow(x("x3"), Monomial(2, 0), x("x2")), Arrow(x("x2"), Monomial(0, 1), x("x1")))
-    event = forced_response(c, cause, path)
+    event = forced_response(c.links, cause, path)
     assert event.added == Arrow(x("x3"), Monomial(1, 1), x("x0"))
     assert event.case_tag == "horizontal-first"
 
-    c = lift_to(build_standard(SignSequence((-1, 1, 2, -1, 1, 3))), R2)
+    c = build_standard(SignSequence((-1, 1, 2, -1, 1, 3)))
     x = functools.partial(id_of, c)
     cause = (x("x6"), Monomial(1, 3), x("x4"))
     path = (Arrow(x("x6"), Monomial(0, 3), x("x5")), Arrow(x("x5"), Monomial(1, 0), x("x4")))
-    event = forced_response(c, cause, path)
+    event = forced_response(c.links, cause, path)
     assert event.added == Arrow(x("x6"), Monomial(1, 2), x("x3"))
     assert event.case_tag == "vertical-first"
 
-    c = lift_to(build_standard(SignSequence((1, 1))), R2)
+    c = build_standard(SignSequence((1, 1)))
     x = functools.partial(id_of, c)
     cause = (x("x2"), Monomial(1, 1), x("x0"))
     path = (Arrow(x("x2"), Monomial(0, 1), x("x1")), Arrow(x("x1"), Monomial(1, 0), x("x0")))
-    response = forced_response(c, cause, path)
+    response = forced_response(c.links, cause, path)
     assert isinstance(response, list)
     assert {o.reason for o in response} == {"no-adjacent-arrow"}
 
@@ -171,6 +168,10 @@ class TestOrderIndependence:
             outcome = decide(SignSequence(entries))
             if isinstance(outcome, PartialRealization) and outcome.added:
                 realizable.append((entries, outcome.complex.arrows))
+        # Its stages have several causes each, so a schedule of one at a time
+        # leaves causes pending from one round to the next.
+        ladder = (-1, 1, 2, -1, 1, 3) * 2
+        realizable.append((ladder, decide(SignSequence(ladder)).complex.arrows))
         for entries, expected in realizable:
             for trial in range(10):
                 shuffler = random.Random(hash((entries, trial)))
@@ -267,6 +268,39 @@ def assert_stage_matches(causes, complex):
         assert paths[cause] == [witness], cause
 
 
+def assert_every_stage_matches(chain):
+    """Decide ``chain`` and check the causes of each of its stages, as the
+    path table gave them, against the complex the filler had reached by
+    then. Returns the outcome and the stages' causes; the last stage's are
+    the obstructed ones, or none."""
+    stages = []
+    file_paths = filler._file_paths
+
+    def recording(*args):
+        causes = file_paths(*args)
+        stages.append(causes)
+        return causes
+
+    filler._file_paths = recording
+    try:
+        outcome = partial_realize(chain)
+    finally:
+        filler._file_paths = file_paths
+    current = lift_to(chain, R2)
+    for i, causes in enumerate(stages):
+        assert_stage_matches(causes, current)
+        if i + 1 < len(stages):
+            added = [forced_response(chain.links, c, p).added for c, p in causes.items()]
+            current = add_arrows(current, added, color="added")
+    if isinstance(outcome, PartialRealization):
+        assert stages[-1] == {}
+        assert current == outcome.complex
+    else:
+        assert stages[-1]
+        assert current == outcome.partial_progress
+    return outcome, stages
+
+
 def small_census():
     """Every sequence with n <= 2, |a| <= 4 and with n = 3, |a| <= 3."""
     yield from census_sequences(2, 4)
@@ -276,62 +310,70 @@ def small_census():
 
 
 class TestStageCauses:
+    """Each stage's causes, from the link stage on, are the verifier's d^2
+    terms of the complex reached so far, each with its only path."""
+
     def test_link_stage_is_the_square_of_the_standard_complex(self):
         with_terms = 0
         for seq in small_census():
-            c = build_standard(seq)
-            causes = _link_causes(c.links)
-            assert_stage_matches(causes, lift_to(c, R2))
-            with_terms += bool(causes)
+            _, stages = assert_every_stage_matches(build_standard(seq))
+            with_terms += bool(stages[0])
         assert with_terms > 10_000
 
     def test_link_stage_is_the_square_of_the_extended_complex(self):
         ends = [a for a in range(-3, 4) if a != 0]
         for body in census_sequences(2, 2):
             for head, tail in itertools.product(ends, repeat=2):
-                c = build_extended(ExtendedSignSequence(head, body, tail))
-                assert_stage_matches(_link_causes(c.links), lift_to(c, R2))
+                assert_every_stage_matches(
+                    build_extended(ExtendedSignSequence(head, body, tail))
+                )
 
     def test_path_stage_on_obstructed_partial_progress(self):
         checked = 0
         for seq in itertools.islice(small_census(), 0, None, 7):
-            outcome = decide(seq)
+            outcome, stages = assert_every_stage_matches(build_standard(seq))
             if isinstance(outcome, NotRealizable):
-                progress = outcome.partial_progress
-                assert_stage_matches(_path_causes(progress), progress)
+                assert_stage_matches(stages[-1], outcome.partial_progress)
                 checked += 1
         assert checked > 1_000
 
     def test_path_stage_at_every_stage_of_the_ladder(self):
         for k in (1, 2, 8, 32):
             seq = SignSequence((-1, 1, 2, -1, 1, 3) * k)
-            outcome = decide(seq)
+            outcome, stages = assert_every_stage_matches(build_standard(seq))
             assert isinstance(outcome, PartialRealization)
-            current = lift_to(build_standard(seq), R2)
-            stages = 0
-            while True:
-                causes = _path_causes(current)
-                assert_stage_matches(causes, current)
-                if not causes:
-                    break
-                stages += 1
-                added = [e.added for e in outcome.added if e.cause in causes]
-                current = add_arrows(current, added, color="added")
-            assert current == outcome.complex
-            assert stages == (2 if k > 1 else 1)
+            assert outcome == decide(seq)
+            assert len(stages) - 1 == (2 if k > 1 else 1)
 
     def test_path_stage_cancels_pairs_and_rejects_odd_repeats(self):
-        gens = [Generator(i, f"g{i}", Grading(0, 0)) for i in range(5)]
         u, v = Monomial(1, 0), Monomial(0, 1)
-        paths = [Arrow(0, u, m) for m in (1, 2, 3)] + [Arrow(m, v, 4) for m in (1, 2, 3)]
-        two = make_complex(R2, gens, paths[:2] + paths[3:5])
-        assert _path_causes(two) == {}
-        three = make_complex(R2, gens, paths)
+        paths = [(Arrow(0, u, m), Arrow(m, v, 4)) for m in (1, 2, 3)]
+        cause = (0, Monomial(1, 1), 4)
+        table = {}
+        causes = filler._file_paths(table, paths[:1])
+        assert causes == {cause: paths[0]}
+        assert filler._file_paths(table, [], causes) == causes
+        # A pair is filed in the order its arrows form a path.
+        first, second = paths[1]
+        assert filler._file_paths(table, [(second, first)], causes) == {}
+        assert table == {cause: paths[:2]}
         with pytest.raises(InternalError, match="3 contributing paths"):
-            partial_realize(three)
-        straight = make_complex(R2, gens, [Arrow(0, u, 1), Arrow(1, u, 2)])
+            filler._file_paths(table, paths[2:])
+        straight = (Arrow(0, u, 1), Arrow(1, u, 2))
         with pytest.raises(InternalError, match="zero exponent"):
-            partial_realize(straight)
+            filler._file_paths({}, [straight])
+        diagonal = Monomial(1, 1)
+        vanishing = (Arrow(0, diagonal, 1), Arrow(1, diagonal, 2))
+        no_path = (Arrow(1, u, 0), Arrow(1, v, 2))
+        table = {}
+        assert filler._file_paths(table, [vanishing, no_path]) == {}
+        assert table == {}
+
+    def test_a_complex_without_links_is_refused(self):
+        chain = build_standard(SignSequence((-1, 1, 2, -1, 1, 3)))
+        copy = make_complex(chain.ring, chain.generators, chain.arrows)
+        with pytest.raises(ConstructionError, match="build_standard or build_extended"):
+            partial_realize(copy)
 
     def test_builders_record_links_outside_equality_and_repr(self):
         seq = SignSequence((-1, 1, 2, -1, 1, 3))
@@ -382,3 +424,14 @@ class TestNoSquareInTheFiller:
         outcome = run(-1, 1, 2, -1, 1, 3)
         assert isinstance(outcome, PartialRealization)
         assert len(outcome.added) == 2
+
+    def test_multi_stage_decision_builds_no_index(self):
+        # Five arrows over two stages, as TestStageCauses checks on the
+        # same ladder.
+        chain = build_standard(SignSequence((-1, 1, 2, -1, 1, 3) * 2))
+        outcome = partial_realize(chain)
+        assert isinstance(outcome, PartialRealization)
+        assert len(outcome.added) == 5
+        for c in (chain, outcome.complex):
+            assert "outgoing" not in c.__dict__
+            assert "incoming" not in c.__dict__

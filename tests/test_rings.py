@@ -9,7 +9,6 @@ from tunnelfill import (
     Generator,
     Grading,
     InvalidLiftError,
-    InvalidReductionError,
     Monomial,
     SignSequence,
     UnknownGeneratorError,
@@ -30,6 +29,7 @@ from tunnelfill.rings import (
     make_complex,
 )
 from conftest import (
+    InvalidReductionError,
     arrow_by_names,
     based_complexes,
     candidate_monomial,
