@@ -47,4 +47,5 @@ class RenderError(TunnelFillError):
 
 
 class SearchBudgetError(TunnelFillError):
-    """The isomorphism search used up its budget without a verdict."""
+    """A verifier used up its budget without a verdict: the isomorphism
+    search its pairings, or a Smith form its elimination degree."""

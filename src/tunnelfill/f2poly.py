@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SearchBudgetError
+
 Poly = int
+
+# The largest entry degree snf_diagonal eliminates. Elimination time grows
+# with the square of the degree, and no block built from a sign sequence
+# needs it, so only a hand-written document can reach this bound.
+ELIMINATION_DEGREE_BOUND = 4096
 
 
 def pdeg(a: Poly) -> int:
@@ -212,11 +219,18 @@ def snf_diagonal(m: PolyMatrix) -> tuple[Poly, ...]:
     A matrix with at most one nonzero entry per row and per column is a
     diagonal one up to permutation. If its entries, sorted by degree, each
     divide the next, they already are the invariant factors and are read
-    off; any other matrix is eliminated.
+    off; any other matrix is eliminated, and raises SearchBudgetError if an
+    entry's degree is over ELIMINATION_DEGREE_BOUND.
     """
     cols = [j for row in m.rows for j, e in enumerate(row) if e]
     if len(cols) == len(set(cols)) == sum(1 for row in m.rows if any(row)):
         entries = sorted((e for row in m.rows for e in row if e), key=pdeg)
         if all(pdivides(a, b) for a, b in zip(entries, entries[1:])):
             return tuple(entries) + (0,) * (min(m.nrows, m.ncols) - len(entries))
+    degree = max(pdeg(e) for row in m.rows for e in row)
+    if degree > ELIMINATION_DEGREE_BOUND:
+        raise SearchBudgetError(
+            f"a block of degree {degree} is over the elimination bound of "
+            f"{ELIMINATION_DEGREE_BOUND}"
+        )
     return smith_normal_form(m)[1].diagonal()

@@ -13,14 +13,15 @@ the complex is not liftable.
 The input is a chain built by ``build_standard`` or ``build_extended``,
 which records its arrows in chain order as ``links``, and every arrow the
 filler adds is diagonal. So each d^2 term is a two-arrow path through a
-link, and a decision keeps one table of them, from each term to its paths.
-The table starts with the paths along two consecutive links, and each stage
-adds only the paths that pair a newly added arrow with a link at either
-end: two added arrows compose to a term with both exponents at least 2,
-which vanishes. A stage's causes are the terms with an odd number of paths;
-paths that cancel in pairs drop out. The filler builds no adjacency index
-and builds its output complex once, at the end. ``differential_square`` is
-not used here: it stays the independent check of the finished complex.
+link, and a decision keeps one table of them, from each term to its one
+path, or to None once a second path has cancelled it. The table starts with
+the paths along two consecutive links, and each stage adds only the paths
+that pair a newly added arrow with a link at either end: two added arrows
+compose to a term with both exponents at least 2, which vanishes. A stage's
+causes are the terms that still have their path. The filler builds no
+adjacency index and builds its output complex once, at the end.
+``differential_square`` is not used here: it stays the independent check of
+the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set.
@@ -48,9 +49,9 @@ Cause = tuple[int, Monomial, int]
 Path = tuple[Arrow, Arrow]
 # The causes of one stage, each with its single witnessing path.
 StageCauses = dict[Cause, Path]
-# The two-arrow paths of a decision's complex whose terms survive over R2,
-# by term.
-PathTable = dict[Cause, list[Path]]
+# Each term of a decision's complex that survives over R2, to its one
+# two-arrow path, or to None once a second path has cancelled it.
+PathTable = dict[Cause, Path | None]
 
 ADDED_COLOR = "added"
 
@@ -116,19 +117,14 @@ def canonicalize_schedule(pending: Sequence[Cause]) -> tuple[Cause, ...]:
     return tuple(sorted(pending, key=_cause_key))
 
 
-def _unique_adjacent(links, gid, kind):
-    """The at-most-one horizontal (resp. vertical) arrow touching gid: one
-    of its two links, since every added arrow is diagonal."""
-    found = [
-        a
-        for a in links[max(gid - 1, 0) : gid + 1]
-        if (a.monomial.is_horizontal if kind == "h" else a.monomial.is_vertical)
-    ]
-    if len(found) > 1:
-        raise InternalError(
-            f"generator {gid} has {len(found)} {kind}-arrows; input is not standard"
-        )
-    return found[0] if found else None
+def _unique_adjacent(links, gid, horizontal):
+    """The horizontal (resp. vertical) arrow touching gid, if any: one of
+    its two links, since every added arrow is diagonal and links alternate
+    kinds."""
+    for link in links[max(gid - 1, 0) : gid + 1]:
+        if link.monomial.is_horizontal == horizontal:
+            return link
+    return None
 
 
 def forced_response(
@@ -149,54 +145,40 @@ def forced_response(
     The a = 1 cases are the mirror images with vertical arrows. When a
     required adjacent arrow is absent, points the wrong way, or is too long,
     the term cannot be cancelled and an obstruction is reported instead.
+    Only a UV term takes both analyses, and its budget of 1 is too short
+    for any link, so at most one analysis yields an arrow.
     """
     x, mono, y = cause
-    first, second = path
-    obstructions: list[Obstruction] = []
-
+    first, _ = path
+    # The path's two V exponents sum to b = 1, so the horizontal arrow is
+    # the first exactly when the first has no V; likewise for a = 1.
     analyses = []
     if mono.v == 1:
-        if first.monomial.v == 0:
-            analyses.append(("h", True))
-        elif second.monomial.v == 0:
-            analyses.append(("h", False))
+        analyses.append((True, mono.u, first.monomial.v == 0))
     if mono.u == 1:
-        if first.monomial.u == 0:
-            analyses.append(("v", True))
-        elif second.monomial.u == 0:
-            analyses.append(("v", False))
-    if not analyses:
-        raise InternalError(f"no non-diagonal arrow in the path for cause {cause}")
-
-    event = None
-    for kind, pivot_is_target in analyses:
-        budget = mono.u if kind == "h" else mono.v
+        analyses.append((False, mono.v, first.monomial.u == 0))
+    obstructions: list[Obstruction] = []
+    for horizontal, budget, pivot_is_target in analyses:
         pivot = y if pivot_is_target else x
-        adjacent = _unique_adjacent(links, pivot, kind)
+        adjacent = _unique_adjacent(links, pivot, horizontal)
         if adjacent is None:
-            obstructions.append(Obstruction(cause, NO_ADJACENT))
-            continue
-        into_pivot = adjacent.target == pivot
-        if into_pivot != pivot_is_target:
-            obstructions.append(Obstruction(cause, WRONG_DIRECTION))
-            continue
-        length = adjacent.monomial.u if kind == "h" else adjacent.monomial.v
-        if length >= budget:
-            obstructions.append(Obstruction(cause, INSUFFICIENT_LENGTH))
-            continue
-        rest = budget - length
-        new_mono = Monomial(rest, 1) if kind == "h" else Monomial(1, rest)
-        if pivot_is_target:
-            added = Arrow(x, new_mono, adjacent.source)
-            tag = "horizontal-first" if kind == "h" else "vertical-first"
+            reason = NO_ADJACENT
+        elif (adjacent.target == pivot) != pivot_is_target:
+            reason = WRONG_DIRECTION
         else:
-            added = Arrow(adjacent.target, new_mono, y)
-            tag = "horizontal-second" if kind == "h" else "vertical-second"
-        if event is not None:
-            raise InternalError(f"two competing responses for cause {cause}")
-        event = ForcedArrowEvent(cause, tag, added)
-
-    return event if event is not None else obstructions
+            rest = budget - (adjacent.monomial.u if horizontal else adjacent.monomial.v)
+            if rest > 0:
+                new_mono = Monomial(rest, 1) if horizontal else Monomial(1, rest)
+                if pivot_is_target:
+                    added = Arrow(x, new_mono, adjacent.source)
+                    tag = "horizontal-first" if horizontal else "vertical-first"
+                else:
+                    added = Arrow(adjacent.target, new_mono, y)
+                    tag = "horizontal-second" if horizontal else "vertical-second"
+                return ForcedArrowEvent(cause, tag, added)
+            reason = INSUFFICIENT_LENGTH
+        obstructions.append(Obstruction(cause, reason))
+    return obstructions
 
 
 def _link_neighbours(links: Sequence[Arrow], arrows: Iterable[Arrow]):
@@ -213,10 +195,9 @@ def _file_paths(
     pending: Iterable[Cause] = (),
 ) -> StageCauses:
     """File the path that each pair of arrows forms, if it forms one, in
-    ``table`` under its d^2 term, unless the term vanishes over R2. Return
-    the causes among the terms filed and ``pending``: the terms with an odd
-    number of paths, each with its one path. Paths that cancel in pairs
-    drop out."""
+    ``table`` under its d^2 term, unless the term vanishes over R2. A second
+    path cancels the term. Return the causes among the terms filed and
+    ``pending``: those that still have their path."""
     level = R2.level
     terms = [*pending]
     for a, b in pairs:
@@ -235,25 +216,14 @@ def _file_paths(
                     f"d^2 term {term[1]} from {term[0]} to {term[2]} has a zero "
                     "exponent; two parallel non-diagonal arrows should be impossible"
                 )
-            table.setdefault(term, []).append((first, second))
+            filed = table.get(term, ())
+            if filed is None:
+                raise InternalError(
+                    f"cause {term} has 3 contributing paths; expected 1"
+                )
+            table[term] = None if filed else (first, second)
             terms.append(term)
-    causes: StageCauses = {}
-    for term in terms:
-        filed = table[term]
-        if len(filed) == 1:
-            causes[term] = filed[0]
-        elif len(filed) % 2:
-            raise InternalError(
-                f"cause {term} has {len(filed)} contributing paths; expected 1"
-            )
-    return causes
-
-
-def _arrow_budget(complex) -> int:
-    # Arrows only connect generators whose gr_U parities differ, so the
-    # total added is at most the edge count of a balanced bipartite graph.
-    m = len(complex.generators)
-    return (m // 2) * ((m + 1) // 2)
+    return {term: path for term in terms if (path := table[term]) is not None}
 
 
 def partial_realize(
@@ -277,6 +247,10 @@ def partial_realize(
     obstructions: list[Obstruction] = []
     table: PathTable = {}
     causes = _file_paths(table, zip(links, links[1:]))
+    # Arrows only connect generators whose gr_U parities differ, so the
+    # total added is at most the edge count of a balanced bipartite graph.
+    m = len(complex.generators)
+    budget = (m // 2) * ((m + 1) // 2)
 
     while causes:
         pending = canonicalize_schedule(causes)
@@ -306,7 +280,6 @@ def partial_realize(
             new[e.added] = None
             events.append(e)
         added.update(new)
-        budget = _arrow_budget(complex)
         if len(added) > budget:
             raise InternalError(
                 f"added more than {budget} arrows; the procedure must terminate sooner"

@@ -289,6 +289,12 @@ def assert_every_stage_matches(chain):
     current = lift_to(chain, R2)
     for i, causes in enumerate(stages):
         assert_stage_matches(causes, current)
+        # A UV term takes both analyses, and neither can yield an arrow: its
+        # budget of 1 is too short for any link.
+        for cause, path in causes.items():
+            if (cause[1].u, cause[1].v) == (1, 1):
+                response = forced_response(chain.links, cause, path)
+                assert isinstance(response, list) and len(response) == 2
         if i + 1 < len(stages):
             added = [forced_response(chain.links, c, p).added for c, p in causes.items()]
             current = add_arrows(current, added, color="added")
@@ -356,7 +362,7 @@ class TestStageCauses:
         # A pair is filed in the order its arrows form a path.
         first, second = paths[1]
         assert filler._file_paths(table, [(second, first)], causes) == {}
-        assert table == {cause: paths[:2]}
+        assert table == {cause: None}
         with pytest.raises(InternalError, match="3 contributing paths"):
             filler._file_paths(table, paths[2:])
         straight = (Arrow(0, u, 1), Arrow(1, u, 2))

@@ -22,6 +22,7 @@ from tunnelfill import (
     realize,
 )
 from tunnelfill import homology
+from tunnelfill.f2poly import ELIMINATION_DEGREE_BOUND
 from tunnelfill.homology import (
     conjugate,
     find_based_isomorphism,
@@ -284,6 +285,16 @@ def dense_document(matrix) -> str:
     return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
 
 
+def elimination_probe(n: int) -> str:
+    """A document whose C/U quotient is the single block [V^n, V^2 + V]. Its
+    one row has two entries, so its Smith form must be eliminated."""
+    generators = [{"name": "r", "gr": [0, 1]}]
+    generators += [{"name": f"c{j}", "gr": [1, 0]} for j in range(2)]
+    arrows = [{"from": "c0", "to": "r", "u": 0, "v": n}]
+    arrows += [{"from": "c1", "to": "r", "u": 0, "v": v} for v in (1, 2)]
+    return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
+
+
 class TestSnfTraffic:
     """Homology reads the Smith form off the blocks of realizations and
     eliminates only blocks that need it."""
@@ -308,3 +319,11 @@ class TestSnfTraffic:
         # t(t^2+t+1); every arrow carries V, so C/V is four free generators.
         assert reports[0].torsion_orders == ((0, (1, 3)),)
         assert [r.free_rank_total for r in reports] == [0, 4]
+
+    def test_elimination_stops_at_the_degree_bound(self, snf_calls):
+        at_bound = parse(elimination_probe(ELIMINATION_DEGREE_BOUND))
+        assert check_correct_homology(at_bound)[0].torsion_orders == ((0, (1,)),)
+        assert len(snf_calls) == 1
+        with pytest.raises(SearchBudgetError, match="elimination bound of 4096"):
+            check_correct_homology(parse(elimination_probe(10**6)))
+        assert len(snf_calls) == 1

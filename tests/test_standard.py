@@ -21,6 +21,7 @@ from conftest import (
     candidate_monomial,
     id_of,
     named_arrows,
+    nonzero_ints,
     reference_build_extended,
     sign_sequences,
 )
@@ -115,15 +116,23 @@ class TestStandardInvariants:
     def test_standard_complexes_are_knot_like(self, seq):
         assert has_correct_homology(build_standard(seq))
 
-    @given(sign_sequences(max_n=3, max_abs=3))
-    def test_at_most_one_arrow_of_each_kind_per_generator(self, seq):
-        c = build_standard(seq)
-        for g in c.generators:
-            incident = [
-                a for a in c.arrows if a.source == g.gid or a.target == g.gid
-            ]
-            assert sum(1 for a in incident if a.monomial.is_horizontal) <= 1
-            assert sum(1 for a in incident if a.monomial.is_vertical) <= 1
+    @given(sign_sequences(max_n=3, max_abs=3), nonzero_ints(3), nonzero_ints(3))
+    def test_at_most_one_arrow_of_each_kind_per_generator(self, seq, head, tail):
+        ext = ExtendedSignSequence(head, seq, tail)
+        for c in (build_standard(seq), build_extended(ext)):
+            for g in c.generators:
+                incident = [
+                    a for a in c.arrows if a.source == g.gid or a.target == g.gid
+                ]
+                assert sum(1 for a in incident if a.monomial.is_horizontal) <= 1
+                assert sum(1 for a in incident if a.monomial.is_vertical) <= 1
+            # links[j] joins ids j and j + 1, and the kinds alternate, so a
+            # generator's two links are one horizontal and one vertical.
+            kinds = [a.monomial.is_horizontal for a in c.links]
+            for j, a in enumerate(c.links):
+                assert {a.source, a.target} == {j, j + 1}
+                assert a.monomial.is_vertical != kinds[j]
+            assert all(k != n for k, n in zip(kinds, kinds[1:]))
 
     def test_first_generator_has_no_vertical_arrow(self):
         for entries in itertools.product([-2, -1, 1, 2], repeat=2):
