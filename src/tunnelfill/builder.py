@@ -77,10 +77,7 @@ def default_extension_params(seq: SignSequence) -> ExtensionParams:
 
 def glue_offset(seq: SignSequence) -> int:
     """Half the sign sum; the diagonal distance between the two copies of z."""
-    total = seq.sign_sum()
-    if total % 2 != 0:
-        raise InternalError("a sequence of even length has an even sign sum")
-    return total // 2
+    return seq.sign_sum() // 2
 
 
 def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRealization:
@@ -104,22 +101,10 @@ def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRea
     return outcome
 
 
-@dataclass(frozen=True)
-class DoubledComplex:
-    """Two joined copies of a lifted extended complex over the full ring.
-
-    ``x_ids`` and ``y_ids`` list the generator ids of the two copies in
-    chain order (x_-1 .. x_2n+1 and y_-1 .. y_2n+1).
-    """
-
-    complex: BasedComplex
-    x_ids: tuple[int, ...]
-    y_ids: tuple[int, ...]
-
-
-def double(lifted: BasedComplex) -> DoubledComplex:
+def double(lifted: BasedComplex) -> BasedComplex:
     """Join two copies of a level-2 chain complex into a chain complex over
-    the full ring, using unit-diagonal and correction arrows."""
+    the full ring, using unit-diagonal and correction arrows. The second
+    copy's ids follow the first's, in the same order."""
     square = differential_square(lift_to(lifted, RINF))
     for x, terms in square.items():
         for (y, mono), _ in terms.items():
@@ -150,18 +135,10 @@ def double(lifted: BasedComplex) -> DoubledComplex:
         for y, mono in terms:
             colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
-    doubled = make_complex(RINF, lifted.generators + y_gens, colors.keys(), colors)
-    expected = 2 * len(lifted.arrows) + count + sum(map(len, square.values()))
-    if len(doubled.arrows) != expected:
-        raise InternalError("doubling produced colliding arrows")
-    return DoubledComplex(
-        doubled,
-        tuple(range(count)),
-        tuple(range(count, 2 * count)),
-    )
+    return make_complex(RINF, lifted.generators + y_gens, colors.keys(), colors)
 
 
-def glue(doubled: DoubledComplex, seq: SignSequence) -> BasedComplex:
+def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     """Merge the two extension endpoints into one far-away generator z.
 
     Every arrow keeps its endpoints (with both dropped generators replaced
@@ -170,16 +147,15 @@ def glue(doubled: DoubledComplex, seq: SignSequence) -> BasedComplex:
     a negative offset the x_2n+1 role does.
     """
     s = glue_offset(seq)
-    complex = doubled.complex
     pos = lattice_positions(complex, strict=True)
 
-    x_first, x_last = doubled.x_ids[0], doubled.x_ids[-1]
-    y_first, y_last = doubled.y_ids[0], doubled.y_ids[-1]
-    x_top = doubled.x_ids[-2]
-    y0, y_top = doubled.y_ids[1], doubled.y_ids[-2]
+    # ``double`` numbers x_-1 .. x_2n+1 from 0 and y_-1 .. y_2n+1 after them.
+    count = len(complex.generators) // 2
+    x_first, x_last, x_top = 0, count - 1, count - 2
+    y_first, y_last, y0, y_top = count, 2 * count - 1, count + 1, 2 * count - 2
     dropped = {x_first, x_last}
     moved = {y_first, y_last}
-    core = list(doubled.x_ids[1:-1]) + list(doubled.y_ids[1:-1])
+    core = [*range(1, count - 1), *range(count + 1, 2 * count - 1)]
 
     min_col = min(pos[g][0] for g in core)
     min_row = min(pos[g][1] for g in core)
@@ -193,7 +169,7 @@ def glue(doubled: DoubledComplex, seq: SignSequence) -> BasedComplex:
     new_pos[y_first] = (pos[y0][0], head_anchor[1])
     new_pos[y_last] = (tail_anchor[0], pos[y_top][1])
 
-    keep = list(doubled.x_ids[1:-1]) + list(doubled.y_ids)
+    keep = [*range(1, count - 1), *range(count, 2 * count)]
     remap = {old: new for new, old in enumerate(keep)}
     z_id = len(keep)
 

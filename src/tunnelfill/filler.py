@@ -24,13 +24,16 @@ adjacency index and builds its output complex once, at the end.
 the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
-any order (or all at once) and always converges to the same arrow set.
+any order (or all at once) and always converges to the same arrow set. Each
+stage takes its causes in sorted order; the tests check the verdict and arrow
+set against ``one_arrow_at_a_time`` in ``tests/conftest.py``, which adds one
+arrow per random d^2 term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConstructionError, InternalError
 from .rings import (
@@ -102,19 +105,10 @@ class NotRealizable:
 
 DecisionOutcome = PartialRealization | NotRealizable
 
-# A scheduler picks which pending causes to process this round; the default
-# processes the whole stage at once.
-Scheduler = Callable[[Sequence[Cause]], Sequence[Cause]]
-
 
 def _cause_key(cause: Cause):
     x, m, y = cause
     return (x, y, m.u, m.v)
-
-
-def canonicalize_schedule(pending: Sequence[Cause]) -> tuple[Cause, ...]:
-    """The default processing order: every visible cause, sorted, as one stage."""
-    return tuple(sorted(pending, key=_cause_key))
 
 
 def _unique_adjacent(links, gid, horizontal):
@@ -189,17 +183,13 @@ def _link_neighbours(links: Sequence[Arrow], arrows: Iterable[Arrow]):
                 yield arrow, link
 
 
-def _file_paths(
-    table: PathTable,
-    pairs: Iterable[tuple[Arrow, Arrow]],
-    pending: Iterable[Cause] = (),
-) -> StageCauses:
+def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> StageCauses:
     """File the path that each pair of arrows forms, if it forms one, in
     ``table`` under its d^2 term, unless the term vanishes over R2. A second
-    path cancels the term. Return the causes among the terms filed and
-    ``pending``: those that still have their path."""
+    path cancels the term. Return the causes among the terms filed: those
+    that still have their path."""
     level = R2.level
-    terms = [*pending]
+    terms = []
     for a, b in pairs:
         if a.target == b.source:
             first, second = a, b
@@ -226,15 +216,9 @@ def _file_paths(
     return {term: path for term in terms if (path := table[term]) is not None}
 
 
-def partial_realize(
-    complex: BasedComplex, scheduler: Scheduler | None = None
-) -> DecisionOutcome:
+def partial_realize(complex: BasedComplex) -> DecisionOutcome:
     """Run the tunnel-filling procedure on a standard or extended standard
-    complex and decide liftability to the level-2 ring.
-
-    ``scheduler`` restricts which visible causes are handled per round; it
-    exists to demonstrate that the outcome is order-independent.
-    """
+    complex and decide liftability to the level-2 ring."""
     links = complex.links
     if links is None:
         raise ConstructionError(
@@ -253,17 +237,8 @@ def partial_realize(
     budget = (m // 2) * ((m + 1) // 2)
 
     while causes:
-        pending = canonicalize_schedule(causes)
-        selected = pending
-        if scheduler is not None:
-            selected = tuple(scheduler(pending))
-            if not selected:
-                raise InternalError("scheduler selected no causes")
-            if any(c not in causes for c in selected):
-                raise InternalError("scheduler selected a cause that is not pending")
-
         stage_events: list[ForcedArrowEvent] = []
-        for cause in selected:
+        for cause in sorted(causes, key=_cause_key):
             response = forced_response(links, cause, causes[cause])
             if isinstance(response, ForcedArrowEvent):
                 stage_events.append(response)
@@ -285,9 +260,10 @@ def partial_realize(
                 f"added more than {budget} arrows; the procedure must terminate sooner"
             )
         # Two added arrows compose to a term with both exponents at least 2,
-        # so every new path runs along a link. This stage's causes are
-        # checked again, since those the scheduler left out stay.
-        causes = _file_paths(table, _link_neighbours(links, new), causes)
+        # so every new path runs along a link. Each added arrow and the link
+        # at its pivot form a second path for the term that forced it, so
+        # this stage's causes are all cancelled.
+        causes = _file_paths(table, _link_neighbours(links, new))
 
     # The output complex is built once, when the decision ends.
     filled = add_arrows(lifted, added, color=ADDED_COLOR) if added else lifted
@@ -299,10 +275,8 @@ def partial_realize(
     return PartialRealization(filled, tuple(events))
 
 
-def decide(
-    seq: SignSequence | ExtendedSignSequence, scheduler: Scheduler | None = None
-) -> DecisionOutcome:
+def decide(seq: SignSequence | ExtendedSignSequence) -> DecisionOutcome:
     """Build the (extended) standard complex of ``seq`` and decide it."""
     if isinstance(seq, ExtendedSignSequence):
-        return partial_realize(build_extended(seq), scheduler)
-    return partial_realize(build_standard(seq), scheduler)
+        return partial_realize(build_extended(seq))
+    return partial_realize(build_standard(seq))

@@ -91,10 +91,6 @@ class Monomial(_MonomialFields):
     def is_horizontal(self) -> bool:
         return self.v == 0 and self.u > 0
 
-    @property
-    def is_vertical(self) -> bool:
-        return self.u == 0 and self.v > 0
-
     def __str__(self) -> str:
         return f"U^{self.u}V^{self.v}"
 

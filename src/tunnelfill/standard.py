@@ -49,10 +49,6 @@ class SignSequence:
         object.__setattr__(self, "entries", entries)
 
     @property
-    def n(self) -> int:
-        return len(self.entries) // 2
-
-    @property
     def max_abs(self) -> int:
         return max(abs(a) for a in self.entries)
 

@@ -22,6 +22,7 @@ from tunnelfill import (
     Generator,
     Grading,
     Monomial,
+    NotRealizable,
     PartialRealization,
     SignSequence,
     TunnelFillError,
@@ -29,7 +30,17 @@ from tunnelfill import (
     build_standard,
 )
 from tunnelfill.f2poly import Poly, PolyMatrix, pdivmod, pmul
-from tunnelfill.rings import R1, R2, RINF, RingLevel, add_arrows, lift_to, make_complex
+from tunnelfill.filler import DecisionOutcome, forced_response
+from tunnelfill.rings import (
+    R1,
+    R2,
+    RINF,
+    RingLevel,
+    add_arrows,
+    differential_square,
+    lift_to,
+    make_complex,
+)
 from tunnelfill.serial import RING_NAMES
 
 hypothesis.settings.register_profile(
@@ -193,6 +204,38 @@ def reduce_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
 
 def is_diagonal(mono: Monomial) -> bool:
     return mono.u > 0 and mono.v > 0
+
+
+def is_vertical(mono: Monomial) -> bool:
+    return mono.u == 0 and mono.v > 0
+
+
+def one_arrow_at_a_time(chain: BasedComplex, rng: random.Random) -> DecisionOutcome:
+    """The reference for ``partial_realize``'s order independence: lift
+    ``chain`` to R2, then, while d^2 is not zero, take one of the verifier's
+    d^2 terms at random, find its one two-arrow path by walking ``outgoing``,
+    and add the single arrow ``forced_response`` gives for it. Stops at the
+    first obstruction. Shares no path table with the filler."""
+    current = lift_to(chain, R2)
+    events = []
+    while square := differential_square(current):
+        terms = [(x, m, y) for x, ts in square.items() for y, m in ts]
+        cause = x, m, y = rng.choice(terms)
+        out = current.outgoing
+        paths = [
+            (first, second)
+            for first in out.get(x, ())
+            for second in out.get(first.target, ())
+            if second.target == y and first.monomial * second.monomial == m
+        ]
+        assert len(paths) == 1, (cause, paths)
+        response = forced_response(chain.links, cause, paths[0])
+        if isinstance(response, list):
+            return NotRealizable(tuple(response), current)
+        assert response.added not in current.arrows, response
+        events.append(response)
+        current = add_arrows(current, [response.added], color="added")
+    return PartialRealization(current, tuple(events))
 
 
 def added_arrows(outcome: PartialRealization) -> frozenset[Arrow]:

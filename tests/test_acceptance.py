@@ -20,7 +20,6 @@ from tunnelfill import (
     census_rows,
     check_correct_homology,
     check_symmetry,
-    decide,
     degree_violations,
     differential_square,
     oracle_decide,
@@ -40,6 +39,7 @@ from conftest import (
     added_arrows,
     id_of,
     is_diagonal_matrix,
+    one_arrow_at_a_time,
     pdet,
     product,
     reduce_to,
@@ -179,24 +179,29 @@ def test_criterion_4_arrow_bound():
 
 @criterion(5, "order independence", budget_seconds=30.0)
 def test_criterion_5_order_independence():
+    # The first 50 realizable and the first 50 obstructed draws, each
+    # replayed in 100 random orders by the one-arrow-at-a-time reference.
     rng = random.Random(1494)
-    chosen = []
-    while len(chosen) < 50:
+    chosen, obstructed = [], []
+    while len(chosen) < 50 or len(obstructed) < 50:
         n = rng.randint(1, 3)
         entries = tuple(rng.choice(nonzero_range(4)) for _ in range(2 * n))
         outcome = realizable_outcome(entries)
-        if isinstance(outcome, PartialRealization):
+        if isinstance(outcome, NotRealizable):
+            if len(obstructed) < 50:
+                obstructed.append((entries, None))
+        elif len(chosen) < 50:
             chosen.append((entries, outcome.complex.arrows))
-    for entries, expected in chosen:
+    for entries, expected in chosen + obstructed:
+        chain = build_standard(SignSequence(entries))
         for trial in range(100):
             shuffler = random.Random((hash(entries) << 7) ^ trial)
-
-            def one_at_a_time(pending):
-                return [pending[shuffler.randrange(len(pending))]]
-
-            outcome = decide(SignSequence(entries), scheduler=one_at_a_time)
-            assert isinstance(outcome, PartialRealization), entries
-            assert outcome.complex.arrows == expected, entries
+            outcome = one_arrow_at_a_time(chain, shuffler)
+            if expected is None:
+                assert isinstance(outcome, NotRealizable), entries
+            else:
+                assert isinstance(outcome, PartialRealization), entries
+                assert outcome.complex.arrows == expected, entries
 
 
 @criterion(6, "realization pipeline", budget_seconds=120.0)
@@ -232,8 +237,7 @@ def test_criterion_7_doubling_reduction():
                 continue
             params = default_extension_params(seq)
             lifted = extend_and_realize(seq, params)
-            doubled = double(lifted.complex)
-            reduced = reduce_to(doubled.complex, R1)
+            reduced = reduce_to(double(lifted.complex), R1)
             pieces = undirected_components(reduced)
             assert len(pieces) == 2, entries
             reference = build_extended(

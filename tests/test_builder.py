@@ -105,8 +105,7 @@ class TestExtension:
 class TestDoubling:
     def test_worked_example_structure(self):
         lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
-        doubled = double(lifted.complex)
-        c = doubled.complex
+        c = double(lifted.complex)
         assert len(c.generators) == 2 * len(lifted.complex.generators)
 
         greens = sorted(
@@ -128,9 +127,9 @@ class TestDoubling:
 
     def test_doubled_gradings_shift_by_one_one(self):
         lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
-        doubled = double(lifted.complex)
-        c = doubled.complex
-        for x_id, y_id in zip(doubled.x_ids, doubled.y_ids):
+        c = double(lifted.complex)
+        count = len(c.generators) // 2
+        for x_id, y_id in zip(range(count), range(count, 2 * count)):
             gx, gy = c.grading(x_id), c.grading(y_id)
             assert (gy.gu, gy.gv) == (gx.gu - 1, gx.gv - 1)
 
@@ -139,8 +138,8 @@ class TestDoubling:
             seq = SignSequence(entries)
             lifted = extend_and_realize(seq, default_extension_params(seq))
             doubled = double(lifted.complex)
-            assert differential_square(doubled.complex) == {}
-            assert degree_violations(doubled.complex) == []
+            assert differential_square(doubled) == {}
+            assert degree_violations(doubled) == []
 
     def test_rejects_inputs_that_are_not_chain_complexes(self):
         with pytest.raises(ConstructionError):
@@ -151,8 +150,7 @@ class TestDoubling:
             seq = SignSequence(entries)
             params = default_extension_params(seq)
             lifted = extend_and_realize(seq, params)
-            doubled = double(lifted.complex)
-            reduced = reduce_to(doubled.complex, R1)
+            reduced = reduce_to(double(lifted.complex), R1)
             pieces = undirected_components(reduced)
             assert len(pieces) == 2
             reference = build_extended(
@@ -172,8 +170,7 @@ class TestDoubling:
         # blue-then-green, and red-then-blue with blue-then-black.
         seq = SignSequence((2, 2))
         lifted = extend_and_realize(seq, default_extension_params(seq))
-        doubled = double(lifted.complex)
-        c = doubled.complex
+        c = double(lifted.complex)
         out = c.outgoing
         paths = Counter()
         for first in c.arrows:
@@ -202,7 +199,7 @@ class TestGluing:
         for entries in [(-1, 1, 2, -1, 1, 3), (2, 2), (2, -2)]:
             seq = SignSequence(entries)
             glued = realize(seq)
-            assert len(glued.generators) == 4 * seq.n + 5
+            assert len(glued.generators) == 4 * (len(seq.entries) // 2) + 5
 
     def test_worked_example_seam(self):
         glued = realize(EXAMPLE)

@@ -21,18 +21,14 @@ from tunnelfill import (
     rings,
 )
 from tunnelfill.census import census_sequences
-from tunnelfill.filler import (
-    canonicalize_schedule,
-    forced_response,
-    partial_realize,
-)
+from tunnelfill.filler import forced_response, partial_realize
 from tunnelfill.rings import R1, R2, add_arrows, lift_to, make_complex
 from tunnelfill.standard import build_extended
-from conftest import id_of, reduce_to, sign_sequences
+from conftest import id_of, one_arrow_at_a_time, reduce_to, sign_sequences
 
 
-def run(*entries, scheduler=None):
-    return decide(SignSequence(entries), scheduler=scheduler)
+def run(*entries):
+    return decide(SignSequence(entries))
 
 
 def added_by_name(outcome):
@@ -168,25 +164,34 @@ class TestOrderIndependence:
             outcome = decide(SignSequence(entries))
             if isinstance(outcome, PartialRealization) and outcome.added:
                 realizable.append((entries, outcome.complex.arrows))
-        # Its stages have several causes each, so a schedule of one at a time
-        # leaves causes pending from one round to the next.
+        # Its stages have several causes each, so one arrow at a time can
+        # leave a stage's terms open while a later stage's appear.
         ladder = (-1, 1, 2, -1, 1, 3) * 2
         realizable.append((ladder, decide(SignSequence(ladder)).complex.arrows))
         for entries, expected in realizable:
+            chain = build_standard(SignSequence(entries))
             for trial in range(10):
                 shuffler = random.Random(hash((entries, trial)))
-
-                def one_at_a_time(pending):
-                    return [pending[shuffler.randrange(len(pending))]]
-
-                outcome = decide(SignSequence(entries), scheduler=one_at_a_time)
+                outcome = one_arrow_at_a_time(chain, shuffler)
                 assert isinstance(outcome, PartialRealization)
                 assert outcome.complex.arrows == expected
 
-    def test_canonical_schedule_sorts(self):
-        causes = [(3, Monomial(1, 2), 0), (1, Monomial(2, 1), 0)]
-        assert canonicalize_schedule(causes) == (causes[1], causes[0])
-        assert canonicalize_schedule([]) == ()
+    def test_events_come_by_stage_then_sorted_by_cause(self):
+        # Stage 1 adds the first four arrows, stage 2 the last.
+        outcome = decide(SignSequence((-1, 1, 2, -1, 1, 3) * 2))
+        assert isinstance(outcome, PartialRealization)
+        name = outcome.complex.generator
+        causes = [
+            (name(x).name, m.u, m.v, name(y).name)
+            for x, m, y in (e.cause for e in outcome.added)
+        ]
+        assert list(zip(added_by_name(outcome), causes)) == [
+            (("x3", 1, 1, "x0", "horizontal-first"), ("x3", 2, 1, "x1")),
+            (("x6", 1, 2, "x3", "vertical-first"), ("x6", 1, 3, "x4")),
+            (("x9", 1, 1, "x6", "horizontal-first"), ("x9", 2, 1, "x7")),
+            (("x12", 1, 2, "x9", "vertical-first"), ("x12", 1, 3, "x10")),
+            (("x10", 1, 3, "x5", "vertical-second"), ("x9", 1, 4, "x5")),
+        ]
 
 
 class TestDeterminismAndBounds:
@@ -358,10 +363,9 @@ class TestStageCauses:
         table = {}
         causes = filler._file_paths(table, paths[:1])
         assert causes == {cause: paths[0]}
-        assert filler._file_paths(table, [], causes) == causes
         # A pair is filed in the order its arrows form a path.
         first, second = paths[1]
-        assert filler._file_paths(table, [(second, first)], causes) == {}
+        assert filler._file_paths(table, [(second, first)]) == {}
         assert table == {cause: None}
         with pytest.raises(InternalError, match="3 contributing paths"):
             filler._file_paths(table, paths[2:])
@@ -391,16 +395,6 @@ class TestStageCauses:
             assert set(c.links) == c.arrows
             ends = [{a.source, a.target} for a in c.links]
             assert ends == [{j, j + 1} for j in range(len(c.links))]
-
-
-class TestSchedulerChecks:
-    def test_a_cause_that_is_not_pending_is_refused(self):
-        with pytest.raises(InternalError, match="not pending"):
-            run(-1, 1, 2, -1, 1, 3, scheduler=lambda pending: [(0, Monomial(9, 1), 1)])
-
-    def test_an_empty_selection_is_refused(self):
-        with pytest.raises(InternalError, match="selected no causes"):
-            run(-1, 1, 2, -1, 1, 3, scheduler=lambda pending: [])
 
 
 class TestNoSquareInTheFiller:

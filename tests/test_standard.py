@@ -20,6 +20,7 @@ from tunnelfill.standard import _GENERATORS, _STEPS, build_extended
 from conftest import (
     candidate_monomial,
     id_of,
+    is_vertical,
     named_arrows,
     nonzero_ints,
     reference_build_extended,
@@ -125,20 +126,20 @@ class TestStandardInvariants:
                     a for a in c.arrows if a.source == g.gid or a.target == g.gid
                 ]
                 assert sum(1 for a in incident if a.monomial.is_horizontal) <= 1
-                assert sum(1 for a in incident if a.monomial.is_vertical) <= 1
+                assert sum(1 for a in incident if is_vertical(a.monomial)) <= 1
             # links[j] joins ids j and j + 1, and the kinds alternate, so a
             # generator's two links are one horizontal and one vertical.
             kinds = [a.monomial.is_horizontal for a in c.links]
             for j, a in enumerate(c.links):
                 assert {a.source, a.target} == {j, j + 1}
-                assert a.monomial.is_vertical != kinds[j]
+                assert is_vertical(a.monomial) != kinds[j]
             assert all(k != n for k, n in zip(kinds, kinds[1:]))
 
     def test_first_generator_has_no_vertical_arrow(self):
         for entries in itertools.product([-2, -1, 1, 2], repeat=2):
             c = build_standard(SignSequence(entries))
             incident = [a for a in c.arrows if 0 in (a.source, a.target)]
-            assert not any(a.monomial.is_vertical for a in incident)
+            assert not any(is_vertical(a.monomial) for a in incident)
 
     def test_extended_complexes_are_not_knot_like(self):
         ext = ExtendedSignSequence(4, SignSequence((-1, 1, 2, -1, 1, 3)), -4)
