@@ -12,8 +12,8 @@ Three stages:
    x_i -> U^(a-1) V^(b-1) y_j.
 3. glue: replace both extension endpoints with a single generator z placed
    far below and to the left, repositioning y_-1 and y_2n+1 so every arrow
-   keeps nonnegative exponents. Arrow monomials are recomputed from the
-   placement; the degree and d^2 checks validate the result.
+   keeps nonnegative exponents. Each arrow's monomial is its source's place
+   less its target's; the degree and d^2 checks validate the result.
 
 Both extension lengths are max|a_i| + 2, chosen up front. At the published
 length, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
@@ -141,40 +141,38 @@ def double(lifted: BasedComplex) -> BasedComplex:
 def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     """Merge the two extension endpoints into one far-away generator z.
 
-    Every arrow keeps its endpoints (with both dropped generators replaced
-    by z) and takes the monomial dictated by the new planar placement. With
-    a positive offset s the x_-1 role attaches to the lower copy of z; with
-    a negative offset the x_2n+1 role does.
+    Every arrow keeps its endpoints, with both dropped generators replaced
+    by z, and its monomial is its source's place less its target's in the
+    planar placement. x_-1 is placed at the head copy of z and x_2n+1 at
+    the tail copy, |s| diagonal steps apart for the offset s; y_-1 and
+    y_2n+1 move next to them.
     """
     s = glue_offset(seq)
-    pos = lattice_positions(complex, strict=True)
+    place = lattice_positions(complex)
 
     # ``double`` numbers x_-1 .. x_2n+1 from 0 and y_-1 .. y_2n+1 after them.
     count = len(complex.generators) // 2
     x_first, x_last, x_top = 0, count - 1, count - 2
     y_first, y_last, y0, y_top = count, 2 * count - 1, count + 1, 2 * count - 2
-    dropped = {x_first, x_last}
-    moved = {y_first, y_last}
     core = [*range(1, count - 1), *range(count + 1, 2 * count - 1)]
 
-    min_col = min(pos[g][0] for g in core)
-    min_row = min(pos[g][1] for g in core)
     gap = 2 * abs(s) + 2
-    z_pos = (min_col - gap, min_row - gap)
-    # The two drawn copies of z sit |s| diagonal steps apart; each endpoint
-    # role reads its monomials from its own copy.
-    head_anchor = (z_pos[0] - s, z_pos[1] - s) if s > 0 else z_pos
-    tail_anchor = (z_pos[0] + s, z_pos[1] + s) if s < 0 else z_pos
-    new_pos = dict(pos)
-    new_pos[y_first] = (pos[y0][0], head_anchor[1])
-    new_pos[y_last] = (tail_anchor[0], pos[y_top][1])
+    z_col = min(place[g][0] for g in core) - gap
+    z_row = min(place[g][1] for g in core) - gap
+    head = (z_col - max(s, 0), z_row - max(s, 0))
+    tail = (z_col + min(s, 0), z_row + min(s, 0))
+    place[y_first] = (place[y0][0], head[1])
+    place[y_last] = (tail[0], place[y_top][1])
+    place[x_first], place[x_last] = head, tail
 
     keep = [*range(1, count - 1), *range(count, 2 * count)]
-    remap = {old: new for new, old in enumerate(keep)}
     z_id = len(keep)
+    new_id = {old: new for new, old in enumerate(keep)}
+    new_id[x_first] = new_id[x_last] = z_id
 
-    def monomial_from(p, q) -> Monomial:
-        du, dv = p[0] - q[0], p[1] - q[1]
+    def monomial(source: int, target: int) -> Monomial:
+        (sc, sr), (tc, tr) = place[source], place[target]
+        du, dv = sc - tc, sr - tr
         if du < 0 or dv < 0 or (du == 0 and dv == 0):
             raise PlacementError(
                 f"placement forces exponents ({du}, {dv}); the extensions are too short"
@@ -187,51 +185,26 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     new_arrows: list[Arrow] = []
     new_colors: dict[Arrow, str] = {}
     for a in sorted(complex.arrows):
-        color = complex.colors.get(a)
-        if a.source in dropped:
+        if a.source in (x_first, x_last):
             raise InternalError(f"unexpected arrow out of a dropped endpoint: {a}")
-        src = a.source
-        if a.target in dropped:
-            anchor = head_anchor if a.target == x_first else tail_anchor
-            mono = monomial_from(new_pos[src], anchor)
-            arrow = Arrow(remap[src], mono, z_id)
-        elif a.target in moved or src in moved:
-            mono = monomial_from(new_pos[src], new_pos[a.target])
-            arrow = Arrow(remap[src], mono, remap[a.target])
-        else:
-            arrow = Arrow(remap[src], a.monomial, remap[a.target])
+        arrow = Arrow(new_id[a.source], monomial(a.source, a.target), new_id[a.target])
         new_arrows.append(arrow)
-        new_colors[arrow] = color or BLACK
+        new_colors[arrow] = complex.colors.get(a) or BLACK
 
-    # Gradings: kept generators keep theirs; the moved pair and z get the
-    # gradings the degree equation forces along their incident arrows.
-    gradings: dict[int, Grading] = {
-        remap[g]: complex.grading(g) for g in keep if g not in moved
-    }
-
-    def forced_grading(source_id: int, mono: Monomial) -> Grading:
-        g = gradings[source_id]
+    def forced_grading(source: int, target: int) -> Grading:
+        g, mono = complex.grading(source), monomial(source, target)
         return Grading(g.gu + 2 * mono.u - 1, g.gv + 2 * mono.v - 1)
 
-    red_head = next(
-        a for a in new_arrows if a.source == remap[y0] and a.target == remap[y_first]
-    )
-    gradings[remap[y_first]] = forced_grading(remap[y0], red_head.monomial)
-    red_tail = next(
-        a for a in new_arrows if a.source == remap[y_top] and a.target == remap[y_last]
-    )
-    gradings[remap[y_last]] = forced_grading(remap[y_top], red_tail.monomial)
-    tail_black = next(
-        a for a in new_arrows if a.source == remap[x_top] and a.target == z_id
-    )
-    gradings[z_id] = forced_grading(remap[x_top], tail_black.monomial)
+    # Kept generators keep their gradings; the moved pair and z take the
+    # ones the degree equation forces along y0 -> y_-1, y_2n -> y_2n+1 and
+    # x_2n -> x_2n+1.
+    grading = {g: complex.grading(g) for g in keep}
+    grading[y_first] = forced_grading(y0, y_first)
+    grading[y_last] = forced_grading(y_top, y_last)
+    gens = [Generator(new_id[g], complex.generator(g).name, grading[g]) for g in keep]
+    gens.append(Generator(z_id, "z", forced_grading(x_top, x_last)))
 
-    gens = []
-    for old in keep:
-        gens.append(Generator(remap[old], complex.generator(old).name, gradings[remap[old]]))
-    gens.append(Generator(z_id, "z", gradings[z_id]))
-
-    glued = make_complex(RINF, tuple(gens), new_arrows, new_colors)
+    glued = make_complex(RINF, gens, new_arrows, new_colors)
     bad = degree_violations(glued)
     if bad:
         raise InternalError(f"glued complex breaks the degree equation at {bad[:3]}")

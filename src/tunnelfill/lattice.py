@@ -22,14 +22,12 @@ from .rings import BasedComplex
 Position = tuple[int, int]
 
 
-def lattice_positions(
-    complex: BasedComplex, strict: bool = False
-) -> dict[int, Position]:
+def lattice_positions(complex: BasedComplex) -> dict[int, Position]:
     """Assign each generator a grid position via pos(target) = pos(source) - (u, v),
     with the first generator at the origin.
 
     Raises RenderError if the arrow graph is disconnected, or if traversal
-    paths disagree on a position (beyond a diagonal shift unless ``strict``).
+    paths disagree on a position by more than a diagonal shift.
     """
     if not complex.generators:
         return {}
@@ -51,8 +49,7 @@ def lattice_positions(
         for gid, p in neighbors:
             if gid in pos:
                 seen = pos[gid]
-                diagonal = p[0] - seen[0] == p[1] - seen[1]
-                if p != seen and (strict or not diagonal):
+                if p[0] - seen[0] != p[1] - seen[1]:
                     raise RenderError(
                         f"inconsistent lattice position for generator {gid}: "
                         f"{seen} vs {p}"

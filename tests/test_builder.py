@@ -1,13 +1,17 @@
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from tunnelfill import (
+    Arrow,
     ConstructionError,
     ExtendedSignSequence,
     ExtensionError,
     ExtensionParams,
+    InternalError,
+    Monomial,
     NotRealizable,
     SignSequence,
     build_standard,
@@ -16,17 +20,19 @@ from tunnelfill import (
     degree_violations,
     differential_square,
     realize,
+    serialize,
 )
 from tunnelfill.builder import (
     default_extension_params,
     double,
     extend_and_realize,
+    glue,
     glue_offset,
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import find_based_isomorphism, has_correct_homology
-from tunnelfill.rings import R1, R2, RINF, lift_to
+from tunnelfill.rings import R1, R2, RINF, lift_to, make_complex
 from tunnelfill.standard import build_extended
 from conftest import (
     id_of,
@@ -228,8 +234,34 @@ class TestGluing:
         part = subcomplex(reduced, with_x0)
         assert find_based_isomorphism(part, standard) is not None
 
+    def test_arrow_off_the_placement_is_refused(self):
+        # A second y2 -> x2 arrow one diagonal step longer than the blue one
+        # has no planar place; reading its monomial off the placement makes
+        # it collide with the blue arrow, and the output checks refuse that.
+        c = double(extend_and_realize(EXAMPLE, default_extension_params(EXAMPLE)).complex)
+        y2, x2 = id_of(c, "y2"), id_of(c, "x2")
+        shifted = make_complex(
+            RINF, c.generators, [*c.arrows, Arrow(y2, Monomial(2, 2), x2)], c.colors
+        )
+        with pytest.raises(InternalError):
+            glue(shifted, EXAMPLE)
+
 
 class TestRealize:
+    def test_census_realizations_are_pinned(self):
+        # Every realizable n <= 2, |a_i| <= 3 document, colours included,
+        # concatenated in census order.
+        digest, count = hashlib.sha256(), 0
+        for seq in census_sequences(2, 3):
+            glued = realize(seq)
+            if not isinstance(glued, NotRealizable):
+                digest.update(serialize(glued, include_colors=True).encode())
+                count += 1
+        assert count == 636
+        assert digest.hexdigest() == (
+            "917231b2eab97561465779e3c85df4b105e89c2ce77d48b13d63e6ba9601cd47"
+        )
+
     def test_paper_verdicts(self):
         assert not isinstance(realize(SignSequence((1, -1, 3, -2))), NotRealizable)
         assert not isinstance(realize(SignSequence((2, 2))), NotRealizable)

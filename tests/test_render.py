@@ -39,13 +39,11 @@ class TestPositions:
         with pytest.raises(RenderError, match="inconsistent"):
             lattice_positions(c)
 
-    def test_diagonal_mismatch_tolerated_only_when_not_strict(self):
+    def test_diagonal_mismatch_tolerated(self):
         gens = [Generator(0, "a", Grading(0, 0)), Generator(1, "b", Grading(0, 0))]
         arrows = [Arrow(0, Monomial(1, 0), 1), Arrow(0, Monomial(2, 1), 1)]
         c = make_complex(RINF, gens, arrows)
         assert lattice_positions(c)
-        with pytest.raises(RenderError, match="inconsistent"):
-            lattice_positions(c, strict=True)
 
     def test_realization_positions_complete(self):
         glued = realize(SignSequence((-1, 1, 2, -1, 1, 3)))
