@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SearchBudgetError
-
 Poly = int
-
-# The largest entry degree snf_diagonal eliminates. Elimination time grows
-# with the square of the degree, and no block built from a sign sequence
-# needs it, so only a hand-written document can reach this bound.
-ELIMINATION_DEGREE_BOUND = 4096
 
 
 def pdeg(a: Poly) -> int:
@@ -51,23 +44,9 @@ def pmod(a: Poly, b: Poly) -> Poly:
     return pdivmod(a, b)[1]
 
 
-def pdivides(a: Poly, b: Poly) -> bool:
-    """Whether a divides b (everything divides 0)."""
-    if b == 0:
-        return True
-    if a == 0:
-        return False
-    return pmod(b, a) == 0
-
-
 @dataclass(frozen=True)
 class PolyMatrix:
     rows: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged polynomial matrix")
 
     @property
     def nrows(self) -> int:
@@ -146,16 +125,12 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
         right[i], right[j] = right[j], right[i]
 
     def add_row(src, dst, q):  # row dst += q * row src
-        if q == 0:
-            return
         for c in range(ncols):
             a[dst][c] ^= pmul(q, a[src][c])
         for r in range(nrows):  # left: column src += q * column dst
             left[r][src] ^= pmul(q, left[r][dst])
 
     def add_col(src, dst, q):  # col dst += q * col src
-        if q == 0:
-            return
         for r in range(nrows):
             a[r][dst] ^= pmul(q, a[r][src])
         for c in range(ncols):  # right: row src += q * row dst
@@ -211,26 +186,3 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
         PolyMatrix(tuple(tuple(r) for r in a)),
         PolyMatrix(tuple(tuple(r) for r in right)),
     )
-
-
-def snf_diagonal(m: PolyMatrix) -> tuple[Poly, ...]:
-    """The invariant factors of m, equal to smith_normal_form(m)[1].diagonal().
-
-    A matrix with at most one nonzero entry per row and per column is a
-    diagonal one up to permutation. If its entries, sorted by degree, each
-    divide the next, they already are the invariant factors and are read
-    off; any other matrix is eliminated, and raises SearchBudgetError if an
-    entry's degree is over ELIMINATION_DEGREE_BOUND.
-    """
-    cols = [j for row in m.rows for j, e in enumerate(row) if e]
-    if len(cols) == len(set(cols)) == sum(1 for row in m.rows if any(row)):
-        entries = sorted((e for row in m.rows for e in row if e), key=pdeg)
-        if all(pdivides(a, b) for a, b in zip(entries, entries[1:])):
-            return tuple(entries) + (0,) * (min(m.nrows, m.ncols) - len(entries))
-    degree = max(pdeg(e) for row in m.rows for e in row)
-    if degree > ELIMINATION_DEGREE_BOUND:
-        raise SearchBudgetError(
-            f"a block of degree {degree} is over the elimination bound of "
-            f"{ELIMINATION_DEGREE_BOUND}"
-        )
-    return smith_normal_form(m)[1].diagonal()

@@ -3,14 +3,15 @@
 Killing U (resp. V) turns a based complex into a complex of free modules
 over F2[V] (resp. F2[U]) that splits along gr_U (resp. gr_V), because
 multiplication by the surviving variable preserves that grading while the
-differential lowers it by exactly one. Each graded piece is a small matrix
-over a univariate polynomial ring, where Smith normal form answers every
-rank and torsion question exactly. A piece with at most one nonzero entry
-per row and per column, each a power of the surviving variable, already is
-a Smith form up to permutation, so ``snf_diagonal`` reads its invariant
-factors off; every piece of the standard complexes and realizations that
-the tests and the benchmark build is of this kind. Any other piece, such
-as a dense matrix from a hand-written document, is eliminated.
+differential lowers it by exactly one. Each graded piece is a block of
+the surviving arrows, each of which carries a power of the surviving
+variable t. A block in which no two arrows share an end is its own Smith
+form up to permutation, because t^a divides t^b exactly when a <= b, so
+its rank and torsion are read off its arrows; every block of a complex
+built from a sign sequence is of this kind. Any other block, such as a
+dense one from a hand-written document, is built as a matrix and
+eliminated, and refused if it holds a power over
+``ELIMINATION_DEGREE_BOUND``.
 """
 
 from __future__ import annotations
@@ -19,22 +20,46 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConstructionError, SearchBudgetError
-from .f2poly import PolyMatrix, pdeg, snf_diagonal
+from .f2poly import PolyMatrix, pdeg, smith_normal_form
 from .rings import Arrow, BasedComplex, Generator, Monomial
+
+# How many individualizations find_based_isomorphism may make before it
+# gives up; each one costs a refinement pass.
+SEARCH_BUDGET = 1 << 10
+
+# The largest power a block may hold and still be eliminated. Elimination
+# time grows with the square of the degree, and no block built from a sign
+# sequence needs it, so only a hand-written document can reach this bound.
+ELIMINATION_DEGREE_BOUND = 4096
 
 
 @dataclass(frozen=True)
 class QuotientChain:
-    """The boundary matrices of C/U or C/V, indexed by the preserved grading.
+    """C/U or C/V, graded by the preserved grading.
 
-    ``boundaries[k]`` maps the degree-k piece to the degree-(k-1) piece;
-    rows follow ``generators[k - 1]``, columns follow ``generators[k]``.
+    ``arrows[k]`` is the block from the degree-k piece to the degree-(k-1)
+    piece as ``(row, column, power)`` triples, one per surviving arrow
+    t^power from ``generators[k][column]`` to ``generators[k - 1][row]``.
+    A block in which no two arrows share an end is read off its triples;
+    any other is built by ``boundary(k)`` and eliminated, and refused if it
+    holds a power over ``ELIMINATION_DEGREE_BOUND``.
     """
 
     killed: str
     degrees: tuple[int, ...]
     generators: Mapping[int, tuple[int, ...]]
-    boundaries: Mapping[int, PolyMatrix]
+    arrows: Mapping[int, tuple[tuple[int, int, int], ...]]
+
+    def boundary(self, k: int) -> PolyMatrix:
+        """The block at degree k as a matrix over F2[t]."""
+        rows = [[0] * len(self.generators[k]) for _ in self.generators.get(k - 1, ())]
+        for row, column, power in self.arrows[k]:
+            rows[row][column] ^= 1 << power
+        return PolyMatrix(tuple(map(tuple, rows)))
+
+    @property
+    def boundaries(self) -> dict[int, PolyMatrix]:
+        return {k: self.boundary(k) for k in self.degrees}
 
 
 @dataclass(frozen=True)
@@ -53,8 +78,8 @@ class HomologyReport:
 
 
 def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
-    """Set U = 0 (kill="U") or V = 0 (kill="V") and package the result as
-    graded boundary matrices over the surviving polynomial ring."""
+    """Set U = 0 (kill="U") or V = 0 (kill="V") and group the surviving
+    arrows by the preserved grading of their source."""
     if kill not in ("U", "V"):
         raise ConstructionError(f"kill must be 'U' or 'V', not {kill!r}")
 
@@ -70,13 +95,7 @@ def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
         gid: (k, i) for k, ids in gens.items() for i, gid in enumerate(ids)
     }
 
-    entries: dict[int, list[list[int]]] = {
-        k: [
-            [0] * len(gens[k])
-            for _ in range(len(gens.get(k - 1, ())))
-        ]
-        for k in degrees
-    }
+    blocks: dict[int, list[tuple[int, int, int]]] = {k: [] for k in degrees}
     for a in complex.arrows:
         m = a.monomial
         survives = m.u == 0 if kill == "U" else m.v == 0
@@ -90,25 +109,33 @@ def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
                 f"arrow {a} does not lower the preserved grading by one; "
                 "run the degree check first"
             )
-        entries[k][row][col] ^= 1 << power
+        blocks[k].append((row, col, power))
 
-    boundaries = {
-        k: PolyMatrix(tuple(tuple(r) for r in rows)) for k, rows in entries.items()
-    }
-    return QuotientChain(kill, degrees, gens, boundaries)
+    arrows = {k: tuple(block) for k, block in blocks.items()}
+    return QuotientChain(kill, degrees, gens, arrows)
 
 
 def homology_report(chain: QuotientChain) -> HomologyReport:
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for k in chain.degrees:
-        mat = chain.boundaries[k]
-        if mat.nrows == 0 or mat.ncols == 0:
-            ranks[k] = 0
-            continue
-        diag = snf_diagonal(mat)
-        ranks[k] = sum(1 for d in diag if d)
-        orders = tuple(sorted(pdeg(d) for d in diag if d and pdeg(d) > 0))
+        block = chain.arrows[k]
+        powers = [power for _, _, power in block]
+        rows = {row for row, _, _ in block}
+        columns = {column for _, column, _ in block}
+        # With no two arrows at one end the block is its own Smith form, so
+        # its invariant factors are t^power for each arrow; else eliminate.
+        if not len(rows) == len(columns) == len(block):
+            degree = max(powers)
+            if degree > ELIMINATION_DEGREE_BOUND:
+                raise SearchBudgetError(
+                    f"a block of degree {degree} is over the elimination bound of "
+                    f"{ELIMINATION_DEGREE_BOUND}"
+                )
+            diagonal = smith_normal_form(chain.boundary(k))[1].diagonal()
+            powers = [pdeg(d) for d in diagonal if d]
+        ranks[k] = len(powers)
+        orders = tuple(sorted(p for p in powers if p > 0))
         if orders:
             # Nontrivial invariant factors of the incoming boundary are the
             # torsion of the homology one degree down.
@@ -161,11 +188,6 @@ def conjugate(complex: BasedComplex) -> BasedComplex:
     }
     colors = {swap[a]: c for a, c in complex.colors.items()}
     return BasedComplex(complex.ring, gens, frozenset(swap.values()), colors)
-
-
-# How many individualizations find_based_isomorphism may make before it
-# gives up; each one costs a refinement pass.
-SEARCH_BUDGET = 1 << 10
 
 
 def find_based_isomorphism(

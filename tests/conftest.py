@@ -12,7 +12,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from tunnelfill import f2poly
+from tunnelfill import f2poly, homology
 from tunnelfill import (
     Arrow,
     BasedComplex,
@@ -29,8 +29,9 @@ from tunnelfill import (
     UnknownGeneratorError,
     build_standard,
 )
-from tunnelfill.f2poly import Poly, PolyMatrix, pdivmod, pmul
+from tunnelfill.f2poly import Poly, PolyMatrix, pdeg, pdivmod, pmod, pmul
 from tunnelfill.filler import DecisionOutcome, forced_response
+from tunnelfill.homology import HomologyReport, quotient_complex
 from tunnelfill.rings import (
     R1,
     R2,
@@ -51,16 +52,16 @@ hypothesis.settings.load_profile("suite")
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """The matrices passed to f2poly.smith_normal_form during the test, seen
-    through the module binding that snf_diagonal falls back to."""
+    """The matrices homology eliminates during the test, seen through its
+    smith_normal_form binding."""
     calls = []
-    original = f2poly.smith_normal_form
+    original = homology.smith_normal_form
 
     def counting(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(f2poly, "smith_normal_form", counting)
+    monkeypatch.setattr(homology, "smith_normal_form", counting)
     return calls
 
 
@@ -328,6 +329,15 @@ def is_diagonal_matrix(m: PolyMatrix) -> bool:
     )
 
 
+def pdivides(a: Poly, b: Poly) -> bool:
+    """Whether a divides b (everything divides 0)."""
+    if b == 0:
+        return True
+    if a == 0:
+        return False
+    return pmod(b, a) == 0
+
+
 def pdet(m: PolyMatrix) -> Poly:
     """Determinant of a square matrix by fraction-free elimination."""
     if m.nrows != m.ncols:
@@ -352,6 +362,35 @@ def pdet(m: PolyMatrix) -> Poly:
             a[i][k] = 0
         prev = a[k][k]
     return a[n - 1][n - 1]
+
+
+def eliminated_reports(complex: BasedComplex) -> tuple[HomologyReport, ...]:
+    """The U-killed and V-killed reports of check_correct_homology, with
+    every block of ``quotient_complex(...).boundaries`` eliminated by
+    f2poly.smith_normal_form and none read off."""
+    reports = []
+    for kill in ("U", "V"):
+        chain = quotient_complex(complex, kill)
+        ranks, torsion = {}, {}
+        for k, block in chain.boundaries.items():
+            factors = [d for d in f2poly.smith_normal_form(block)[1].diagonal() if d]
+            ranks[k] = len(factors)
+            orders = sorted(pdeg(d) for d in factors if pdeg(d) > 0)
+            if orders:
+                torsion[k - 1] = tuple(orders)
+        free = {
+            k: len(chain.generators[k]) - ranks[k] - ranks.get(k + 1, 0)
+            for k in chain.degrees
+        }
+        free = {k: rank for k, rank in free.items() if rank}
+        total = sum(free.values())
+        grading = max(free) if total == 1 else None
+        reports.append(
+            HomologyReport(
+                kill, total, grading, tuple(sorted(torsion.items())), grading == 0
+            )
+        )
+    return tuple(reports)
 
 
 def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:

@@ -29,7 +29,7 @@ from tunnelfill import (
     serialize,
 )
 from tunnelfill.builder import default_extension_params, double, extend_and_realize
-from tunnelfill.f2poly import PolyMatrix, pdeg, pdivides, smith_normal_form
+from tunnelfill.f2poly import PolyMatrix, pdeg, smith_normal_form
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import find_based_isomorphism
 from tunnelfill.lattice import lattice_positions
@@ -41,6 +41,7 @@ from conftest import (
     is_diagonal_matrix,
     one_arrow_at_a_time,
     pdet,
+    pdivides,
     product,
     reduce_to,
     subcomplex,

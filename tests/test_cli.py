@@ -39,6 +39,22 @@ class TestDecide:
             ("x6", "x3"),
         }
 
+    def test_obstructed_json_report(self, capsys):
+        code, out, err = run(capsys, "decide", "-s", "-1,1,2,-1,1,2", "--json")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "{",
+            '  "sequence": "-1,1,2,-1,1,2",',
+            '  "decision": "NOT_REALIZABLE",',
+            '  "obstructions": [',
+            "    {",
+            '      "at": "d\\u00b2x6 term U^3V^1 x2",',
+            '      "reason": "no-adjacent-arrow"',
+            "    }",
+            "  ]",
+            "}",
+        ]
+
     def test_extended_sequence(self, capsys):
         code, out, _ = run(capsys, "decide", "-s", "4 | -1,1,2,-1,1,3 | -4")
         assert code == 0
@@ -103,6 +119,19 @@ class TestRealizeVerifyRender:
         assert code == 0
         assert "symmetry: FAIL" in out
 
+    def test_homology_rejects_an_arrow_that_keeps_its_grading(self, capsys, tmp_path):
+        # Killing U leaves a -> V b, which does not lower gr_U by one.
+        doc = tmp_path / "flat.json"
+        generators = [{"name": name, "gr": [0, 0]} for name in ("a", "b")]
+        arrows = [{"from": "a", "to": "b", "u": 0, "v": 1}]
+        doc.write_text(json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows}))
+        code, out, err = run(capsys, "verify", str(doc), "--check", "homology")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: arrow 0 -> U^0V^1 1 does not lower the preserved grading by one;"
+            " run the degree check first\n"
+        )
+
     def test_verify_rejects_a_malformed_document_without_a_traceback(self, capsys, tmp_path):
         doc = tmp_path / "bad.json"
         good = json.loads(serialize(build_standard(SignSequence((2, 2)))))
@@ -127,6 +156,20 @@ class TestRealizeVerifyRender:
         )
         assert code == 1
         assert "error:" in err and "did not lift" in err
+        assert not doc.exists()
+
+    def test_realize_rejects_an_extended_sequence(self, capsys, tmp_path):
+        doc = tmp_path / "g.json"
+        code, out, err = run(capsys, "realize", "-s", "4 | -1,1,2,-1,1,3 | -4", "-o", str(doc))
+        assert code == 1 and out == ""
+        assert err == "realize expects a plain sequence, not an extended one\n"
+        assert not doc.exists()
+
+    def test_realize_needs_both_extension_lengths(self, capsys, tmp_path):
+        doc = tmp_path / "g.json"
+        code, out, err = run(capsys, "realize", "-s", "2,2", "-o", str(doc), "--n1", "4")
+        assert code == 1 and out == ""
+        assert err == "give both --n1 and --n2 or neither\n"
         assert not doc.exists()
 
     def test_custom_extension_lengths(self, capsys, tmp_path):

