@@ -36,6 +36,8 @@ from .errors import (
 from .filler import (
     NotRealizable,
     PartialRealization,
+    decide,
+    fill_links,
     partial_realize,
 )
 from .homology import has_correct_homology
@@ -52,7 +54,7 @@ from .rings import (
     lift_to,
     make_complex,
 )
-from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
+from .standard import ExtendedSignSequence, SignSequence, build_extended, chain_links
 
 BLACK, RED, BLUE, GREEN = "black", "red", "blue", "green"
 
@@ -222,9 +224,9 @@ def realize(
     Returns the tunnel filler's NotRealizable outcome otherwise. Raises
     ExtensionError or PlacementError when explicit ``params`` do not work.
     """
-    outcome = partial_realize(build_standard(seq))
-    if isinstance(outcome, NotRealizable):
-        return outcome
+    if fill_links(chain_links(seq.entries, 0))[2]:
+        # An obstruction: decide again, building the outcome the caller reads.
+        return decide(seq)
 
     params = params or default_extension_params(seq)
     glued = glue(double(extend_and_realize(seq, params).complex), seq)

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from .errors import ConstructionError
-from .filler import PartialRealization, partial_realize
+from .filler import fill_links
 from .oracle import oracle_decide
 from .rings import R2, Arrow, lift_to
-from .standard import SignSequence, build_standard
+from .standard import SignSequence, build_standard, chain_links
 
 CSV_HEADER = ("sequence", "decision", "arrows_added", "obstruction_reason")
 
@@ -47,19 +47,15 @@ def census_sequences(n_max: int, a_max: int) -> Iterator[SignSequence]:
 
 
 def decide_row(seq: SignSequence) -> CensusRow:
-    outcome = partial_realize(build_standard(seq))
-    if isinstance(outcome, PartialRealization):
-        arrows = tuple(e.added for e in outcome.added)
-        return CensusRow(seq, "REALIZABLE", len(arrows), None, arrows)
-    progress = outcome.partial_progress
-    added = len(progress.arrows) - len(seq.entries)
-    first = outcome.obstructions[0]
+    """Decide ``seq`` on its chain's links, building no complex, as one CSV
+    row. The reason names x_k by its id k in the standard chain."""
+    _, added, obstructions = fill_links(chain_links(seq.entries, 0))
+    if not obstructions:
+        return CensusRow(seq, "REALIZABLE", len(added), None, tuple(added))
+    first = obstructions[0]
     x, mono, y = first.cause
-    reason = (
-        f"{first.reason} at d2 {progress.generator(x).name} "
-        f"term {mono} {progress.generator(y).name}"
-    )
-    return CensusRow(seq, "NOT_REALIZABLE", added, reason, ())
+    reason = f"{first.reason} at d2 x{x} term {mono} x{y}"
+    return CensusRow(seq, "NOT_REALIZABLE", len(added), reason, ())
 
 
 def census_rows(n_max: int, a_max: int) -> Iterator[CensusRow]:
@@ -86,8 +82,9 @@ def write_census_csv(rows: Iterator[CensusRow], out: IO[str]) -> int:
 def cross_check_with_oracle(row: CensusRow, cap: int | None = None) -> str | None:
     """Re-decide one row with the oracle; returns a complaint string on
     disagreement, None when consistent. It reads the row's added arrows
-    instead of running the filler again, and rebuilds only the standard
-    complex. ``cap`` is ignored: the benchmark's census workload
+    instead of running the filler again, and builds the row's only complex,
+    the standard one, which the oracle reads lifted to the level-2 ring.
+    ``cap`` is ignored: the benchmark's census workload
     (``perfbench/workloads.py``) still passes ``cap=ORACLE_CAP``, so the
     keyword stays until that workload drops it."""
     result = oracle_decide(lift_to(build_standard(row.sequence), R2))

@@ -10,18 +10,19 @@ vertical) arrow at the far end of the path. When that adjacent arrow is
 missing, points the wrong way, or is too long, no augmentation exists and
 the complex is not liftable.
 
-The input is a chain built by ``build_standard`` or ``build_extended``,
-which records its arrows in chain order as ``links``, and every arrow the
-filler adds is diagonal. So each d^2 term is a two-arrow path through a
-link, and a decision keeps one table of them, from each term to its one
-path, or to None once a second path has cancelled it. The table starts with
-the paths along two consecutive links, and each stage adds only the paths
-that pair a newly added arrow with a link at either end: two added arrows
-compose to a term with both exponents at least 2, which vanishes. A stage's
-causes are the terms that still have their path. The filler builds no
-adjacency index and builds its output complex once, at the end.
-``differential_square`` is not used here: it stays the independent check of
-the finished complex.
+The procedure, ``fill_links``, runs on a chain's arrows in chain order, its
+``links``, as ``standard.chain_links`` returns them, and every arrow it adds
+is diagonal. So each d^2 term is a two-arrow path through a link, and a
+decision keeps one table of them, from each term to its one path, or to None
+once a second path has cancelled it. The table starts with the paths along
+two consecutive links, and each stage adds only the paths that pair a newly
+added arrow with a link at either end: two added arrows compose to a term
+with both exponents at least 2, which vanishes. A stage's causes are the
+terms that still have their path. ``fill_links`` builds no complex and no
+adjacency index; only ``partial_realize``, which takes a chain built by
+``build_standard`` or ``build_extended``, builds one: its output, once, from
+the added arrows. ``differential_square`` is not used here: it stays the
+independent check of the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set. Each
@@ -91,7 +92,7 @@ class PartialRealization:
 
     def __init__(self, complex: BasedComplex, added: tuple[ForcedArrowEvent, ...]):
         # Written out, not generated, for the reason BasedComplex gives:
-        # every decision builds one.
+        # partial_realize builds one for every chain that lifts.
         fields = self.__dict__
         fields["complex"] = complex
         fields["added"] = added
@@ -216,15 +217,12 @@ def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> Stage
     return {term: path for term in terms if (path := table[term]) is not None}
 
 
-def partial_realize(complex: BasedComplex) -> DecisionOutcome:
-    """Run the tunnel-filling procedure on a standard or extended standard
-    complex and decide liftability to the level-2 ring."""
-    links = complex.links
-    if links is None:
-        raise ConstructionError(
-            "partial_realize takes a chain built by build_standard or build_extended"
-        )
-    lifted = lift_to(complex, R2)
+def fill_links(
+    links: Sequence[Arrow],
+) -> tuple[list[ForcedArrowEvent], dict[Arrow, None], tuple[Obstruction, ...]]:
+    """Fill the tunnels of the chain whose arrows, in chain order, are
+    ``links``: the events in order, the arrows they added, and the sorted
+    obstructions of the stage that failed (none when the chain lifts)."""
     events: list[ForcedArrowEvent] = []
     # The arrows added so far, in order of addition.
     added: dict[Arrow, None] = {}
@@ -233,7 +231,7 @@ def partial_realize(complex: BasedComplex) -> DecisionOutcome:
     causes = _file_paths(table, zip(links, links[1:]))
     # Arrows only connect generators whose gr_U parities differ, so the
     # total added is at most the edge count of a balanced bipartite graph.
-    m = len(complex.generators)
+    m = len(links) + 1
     budget = (m // 2) * ((m + 1) // 2)
 
     while causes:
@@ -265,13 +263,23 @@ def partial_realize(complex: BasedComplex) -> DecisionOutcome:
         # this stage's causes are all cancelled.
         causes = _file_paths(table, _link_neighbours(links, new))
 
-    # The output complex is built once, when the decision ends.
+    ordered = sorted(set(obstructions), key=lambda o: (_cause_key(o.cause), o.reason))
+    return events, added, tuple(ordered)
+
+
+def partial_realize(complex: BasedComplex) -> DecisionOutcome:
+    """Run the tunnel-filling procedure on a standard or extended standard
+    complex and decide liftability to the level-2 ring."""
+    links = complex.links
+    if links is None:
+        raise ConstructionError(
+            "partial_realize takes a chain built by build_standard or build_extended"
+        )
+    events, added, obstructions = fill_links(links)
+    lifted = lift_to(complex, R2)
     filled = add_arrows(lifted, added, color=ADDED_COLOR) if added else lifted
     if obstructions:
-        ordered = tuple(
-            sorted(set(obstructions), key=lambda o: (_cause_key(o.cause), o.reason))
-        )
-        return NotRealizable(ordered, filled)
+        return NotRealizable(obstructions, filled)
     return PartialRealization(filled, tuple(events))
 
 

@@ -200,8 +200,8 @@ class BasedComplex:
         colors: dict[Arrow, str] | None = None,
     ):
         # Written out, not generated: the frozen dataclass __init__ assigns
-        # each field through object.__setattr__, and every decision builds
-        # two complexes.
+        # each field through object.__setattr__, and every built chain, its
+        # lift and each filled complex come through here.
         fields = self.__dict__
         fields["ring"] = ring
         fields["generators"] = generators

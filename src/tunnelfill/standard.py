@@ -105,6 +105,13 @@ _GENERATORS = _Interned(
 )
 
 
+def chain_links(entries: tuple[int, ...], first: int) -> tuple[Arrow, ...]:
+    """The arrows of ``_chain(entries, first)`` in chain order, ``links[j]``
+    joining ids j and j + 1, read from the same steps without building a
+    generator."""
+    return tuple([_STEPS[first, i, a][0] for i, a in enumerate(entries, 1)])
+
+
 def _chain(entries: tuple[int, ...], first: int) -> BasedComplex:
     """The zig-zag chain of ``entries`` on generators x_first, x_first+1, ...
     over the level-1 ring, with gr_U(x_0) = 0 and gr_V(x_2n) = 0."""

@@ -16,6 +16,7 @@ from tunnelfill import f2poly, homology
 from tunnelfill import (
     Arrow,
     BasedComplex,
+    CensusRow,
     ConstructionError,
     DocumentError,
     ExtendedSignSequence,
@@ -30,7 +31,7 @@ from tunnelfill import (
     build_standard,
 )
 from tunnelfill.f2poly import Poly, PolyMatrix, pdeg, pdivmod, pmod, pmul
-from tunnelfill.filler import DecisionOutcome, forced_response
+from tunnelfill.filler import DecisionOutcome, forced_response, partial_realize
 from tunnelfill.homology import HomologyReport, quotient_complex
 from tunnelfill.rings import (
     R1,
@@ -241,6 +242,25 @@ def one_arrow_at_a_time(chain: BasedComplex, rng: random.Random) -> DecisionOutc
 
 def added_arrows(outcome: PartialRealization) -> frozenset[Arrow]:
     return frozenset(e.added for e in outcome.added)
+
+
+def row_from_outcome(seq: SignSequence) -> CensusRow:
+    """The reference for ``census.decide_row``: the census row read off
+    ``partial_realize(build_standard(seq))``, with generator names taken from
+    the built complex and the arrows added counted off its arrow set."""
+    outcome = partial_realize(build_standard(seq))
+    if isinstance(outcome, PartialRealization):
+        arrows = tuple(e.added for e in outcome.added)
+        return CensusRow(seq, "REALIZABLE", len(arrows), None, arrows)
+    progress = outcome.partial_progress
+    added = len(progress.arrows) - len(seq.entries)
+    first = outcome.obstructions[0]
+    x, mono, y = first.cause
+    reason = (
+        f"{first.reason} at d2 {progress.generator(x).name} "
+        f"term {mono} {progress.generator(y).name}"
+    )
+    return CensusRow(seq, "NOT_REALIZABLE", added, reason, ())
 
 
 def named_arrows(complex: BasedComplex) -> set[tuple[str, int, int, str]]:

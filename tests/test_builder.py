@@ -17,11 +17,13 @@ from tunnelfill import (
     build_standard,
     check_correct_homology,
     check_symmetry,
+    decide,
     degree_violations,
     differential_square,
     realize,
     serialize,
 )
+from tunnelfill import standard
 from tunnelfill.builder import (
     default_extension_params,
     double,
@@ -291,3 +293,22 @@ class TestRealize:
         outcome = realize(SignSequence((1, 1)))
         assert isinstance(outcome, NotRealizable)
         assert outcome.obstructions
+
+    def test_only_a_failed_decision_builds_the_standard_complex(self, monkeypatch):
+        firsts = []
+        original = standard._chain
+
+        def counting(entries, first):
+            firsts.append(first)
+            return original(entries, first)
+
+        monkeypatch.setattr(standard, "_chain", counting)
+        for seq in census_sequences(1, 3):
+            firsts.clear()
+            glued = realize(seq)
+            if isinstance(glued, NotRealizable):
+                assert firsts == [0]
+                assert glued == decide(seq)
+            else:
+                # The extended chain only.
+                assert firsts == [-1]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -14,7 +15,8 @@ from tunnelfill import (
 )
 from tunnelfill.census import census_sequences, cross_check_with_oracle, decide_row
 from tunnelfill.filler import partial_realize
-from conftest import added_arrows
+from tunnelfill.rings import R1, R2, BasedComplex
+from conftest import added_arrows, row_from_outcome
 
 STAIRCASE = SignSequence((-1, 1, 2, -1, 1, 3))
 BLOCKED = SignSequence((-1, 1, 2, -1, 1, 2))
@@ -107,3 +109,63 @@ class TestCrossCheck:
         assert cross_check_with_oracle(flipped) == (
             f"{BLOCKED}: algorithm says REALIZABLE, oracle says NOT_REALIZABLE"
         )
+
+
+class TestDecisionFromLinks:
+    """``decide_row`` decides on the chain's links; each row must equal the
+    one read off ``partial_realize(build_standard(seq))``."""
+
+    def test_every_row_of_the_n3_max3_census_matches_the_outcome(self):
+        seqs = list(census_sequences(3, 3))
+        assert len(seqs) == 47_988
+        assert [s for s in seqs if decide_row(s) != row_from_outcome(s)] == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256])
+    def test_ladders_match_the_outcome(self, k):
+        seq = SignSequence(STAIRCASE.entries * k)
+        row = decide_row(seq)
+        assert row == row_from_outcome(seq)
+        assert row.realizable and row.arrows_added == 3 * k - 1
+
+    def test_random_long_sequences_match_the_outcome(self):
+        rng = random.Random(1913)
+        decisions = set()
+        for length in (96, 192, 384, 768, 1536) * 2:
+            seq = SignSequence(
+                rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(length)
+            )
+            row = decide_row(seq)
+            assert row == row_from_outcome(seq)
+            decisions.add(row.decision)
+        assert decisions == {"NOT_REALIZABLE"}
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every BasedComplex built during the test, in order."""
+        complexes = []
+        original = BasedComplex.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            complexes.append(self)
+
+        monkeypatch.setattr(BasedComplex, "__init__", counting)
+        return complexes
+
+    def test_decide_row_builds_no_complex(self, built):
+        for seq in (STAIRCASE, BLOCKED, SignSequence(STAIRCASE.entries * 8)):
+            decide_row(seq)
+        assert built == []
+
+    def test_the_cross_check_builds_the_rows_only_complex(self, built):
+        for seq in (STAIRCASE, BLOCKED):
+            row = decide_row(seq)
+            built.clear()
+            assert cross_check_with_oracle(row) is None
+            # The standard complex, and the lift the oracle reads, which
+            # shares its generators and arrows.
+            chain, lifted = built
+            assert (chain.ring, lifted.ring) == (R1, R2)
+            assert chain == build_standard(seq)
+            assert lifted.generators is chain.generators
+            assert lifted.arrows is chain.arrows

@@ -21,7 +21,7 @@ from tunnelfill import (
     rings,
 )
 from tunnelfill.census import census_sequences
-from tunnelfill.filler import forced_response, partial_realize
+from tunnelfill.filler import fill_links, forced_response, partial_realize
 from tunnelfill.rings import R1, R2, add_arrows, lift_to, make_complex
 from tunnelfill.standard import build_extended
 from conftest import id_of, one_arrow_at_a_time, reduce_to, sign_sequences
@@ -378,6 +378,25 @@ class TestStageCauses:
         table = {}
         assert filler._file_paths(table, [vanishing, no_path]) == {}
         assert table == {}
+
+    def test_the_links_core_matches_partial_realize_on_extended_complexes(self):
+        ends = [a for a in range(-3, 4) if a != 0]
+        stopped = 0
+        for body in census_sequences(2, 2):
+            for head, tail in itertools.product(ends, repeat=2):
+                chain = build_extended(ExtendedSignSequence(head, body, tail))
+                events, added, obstructions = fill_links(chain.links)
+                outcome = partial_realize(chain)
+                if isinstance(outcome, PartialRealization):
+                    assert tuple(events) == outcome.added
+                    assert obstructions == ()
+                    assert outcome.complex.arrows == chain.arrows | set(added)
+                else:
+                    assert obstructions == outcome.obstructions
+                    assert set(added) == outcome.partial_progress.arrows - chain.arrows
+                    stopped += 1
+                assert list(added) == [e.added for e in events]
+        assert stopped > 1_000
 
     def test_a_complex_without_links_is_refused(self):
         chain = build_standard(SignSequence((-1, 1, 2, -1, 1, 3)))

@@ -13,10 +13,11 @@ from tunnelfill import (
     degree_violations,
     differential_square,
 )
+from tunnelfill.census import census_sequences
 from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import _INTERNED_LIMIT, add_arrows
-from tunnelfill.standard import _GENERATORS, _STEPS, build_extended
+from tunnelfill.standard import _GENERATORS, _STEPS, _chain, build_extended, chain_links
 from conftest import (
     candidate_monomial,
     id_of,
@@ -216,6 +217,19 @@ class TestExtendedChain:
                     assert c == ref
                     count += 1
         assert count == (6**2 + 6**4) * 6**2
+
+
+class TestChainLinks:
+    def test_links_without_generators_match_the_built_chain(self):
+        rng = random.Random(1536)
+        entries = [s.entries for s in census_sequences(2, 3)] + [
+            tuple(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(length))
+            for length in (96, 384, 1536)
+        ]
+        for e in entries:
+            for first in (0, -1):
+                assert chain_links(e, first) == _chain(e, first).links
+            assert chain_links(e, 0) == build_standard(SignSequence(e)).links
 
 
 class TestInterning:
