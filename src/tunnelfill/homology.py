@@ -21,10 +21,11 @@ from typing import Mapping
 
 from .errors import ConstructionError, SearchBudgetError
 from .f2poly import PolyMatrix, pdeg, smith_normal_form
-from .rings import Arrow, BasedComplex, Generator, Monomial
+from .rings import BasedComplex, Generator
 
 # How many individualizations find_based_isomorphism may make before it
-# gives up; each one costs a refinement pass.
+# gives up; each one copies the partition and refines it from the new
+# two-vertex cell only.
 SEARCH_BUDGET = 1 << 10
 
 # The largest power a block may hold and still be eliminated. Elimination
@@ -177,19 +178,6 @@ def has_correct_homology(complex: BasedComplex) -> bool:
     return u_side.verdict and v_side.verdict
 
 
-def conjugate(complex: BasedComplex) -> BasedComplex:
-    """The same complex with the roles of U and V interchanged."""
-    gens = tuple(
-        Generator(g.gid, g.name, g.grading.swapped()) for g in complex.generators
-    )
-    swap = {
-        a: Arrow(a.source, Monomial(a.monomial.v, a.monomial.u), a.target)
-        for a in complex.arrows
-    }
-    colors = {swap[a]: c for a, c in complex.colors.items()}
-    return BasedComplex(complex.ring, gens, frozenset(swap.values()), colors)
-
-
 def find_based_isomorphism(
     first: BasedComplex, second: BasedComplex
 ) -> dict[int, int] | None:
@@ -198,38 +186,64 @@ def find_based_isomorphism(
 
     Colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symb. Comput. 60, 2014) on both complexes at
-    once. Raises SearchBudgetError after ``SEARCH_BUDGET`` individualizations.
+    once. Each refinement works from a list of changed cells, as in Paige &
+    Tarjan, "Three partition refinement algorithms", SIAM J. Comput. 16(6),
+    1987, and Berkholz, Bonsma & Grohe, "Tight lower and upper bounds for
+    the complexity of canonical colour refinement", Theory Comput. Syst. 60,
+    2017. Raises SearchBudgetError after ``SEARCH_BUDGET`` individualizations.
     """
-    n = len(first.generators)
-    if n != len(second.generators) or len(first.arrows) != len(second.arrows):
+    return _isomorphism(*_plain(first), *_plain(second))
+
+
+def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:
+    """Search for a based isomorphism onto the U/V-interchanged complex;
+    returns the witness bijection or None."""
+    gradings, arrows = _plain(complex)
+    swapped = [(s, v, u, t) for s, u, v, t in arrows]
+    return _isomorphism(gradings, arrows, [(v, u) for u, v in gradings], swapped)
+
+
+def _plain(complex: BasedComplex):
+    """The gradings as (gu, gv) pairs in id order and the arrows as
+    (source, u, v, target)."""
+    gradings = [(g.grading.gu, g.grading.gv) for g in complex.generators]
+    return gradings, [(s, m.u, m.v, t) for s, m, t in complex.arrows]
+
+
+def _isomorphism(gradings1, arrows1, gradings2, arrows2):
+    n = len(gradings1)
+    if n != len(gradings2) or len(arrows1) != len(arrows2):
         return None
-    # Vertex v < n is first's generator v, and v >= n is second's v - n.
-    colour = [
-        (g.grading.gu, g.grading.gv) for c in (first, second) for g in c.generators
-    ]
-    if sorted(colour[:n]) != sorted(colour[n:]):
+    if sorted(gradings1) != sorted(gradings2):
         return None
-    links: list[list[tuple[tuple[int, Monomial], int]]] = [[] for _ in colour]
-    for base, complex in ((0, first), (n, second)):
-        for s, m, t in complex.arrows:
-            links[base + s].append(((0, m), base + t))
-            links[base + t].append(((1, m), base + s))
+    # Vertex v < n is the first complex's generator v, and v >= n is the
+    # second's v - n. A link holds its arrow's kind as seen from the far end.
+    links: list[list[tuple[tuple[int, int, int], int]]] = [[] for _ in range(2 * n)]
+    for base, arrows in ((0, arrows1), (n, arrows2)):
+        for s, u, v, t in arrows:
+            links[base + s].append(((1, u, v), base + t))
+            links[base + t].append(((0, u, v), base + s))
+    names: dict[tuple[int, int], int] = {}
+    colour = [names.setdefault(g, len(names)) for g in gradings1 + gradings2]
+    targets = set(arrows2)
 
     # A branch individualizes a and b (a < 0: none) in its parent's colouring.
     stack = [(colour, -1, -1)]
     budget = SEARCH_BUDGET
     while stack:
         colour, a, b = stack.pop()
-        if a >= 0:
+        colour = list(colour)
+        if a < 0:
+            pending = list(range(len(names)))
+        else:
             if not budget:
                 raise SearchBudgetError(
                     f"isomorphism search gave up after {SEARCH_BUDGET} individualizations"
                 )
             budget -= 1
-            colour = list(colour)
             colour[a] = colour[b] = max(colour) + 1
-        colour = _refine(links, n, colour)
-        if colour is None:
+            pending = [colour[a]]
+        if not _refine(links, n, colour, pending):
             continue
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
@@ -241,35 +255,58 @@ def find_based_isomorphism(
             stack += [(colour, cell[0], b) for b in reversed(cell[len(cell) // 2 :])]
             continue
         image = dict(sorted((x, y - n) for x, y in cells.values()))
-        if {Arrow(image[s], m, image[t]) for s, m, t in first.arrows} == second.arrows:
+        if {(image[s], u, v, image[t]) for s, u, v, t in arrows1} == targets:
             return image
     return None
 
 
-def _refine(links, n, colour):
-    """Split each colour class by the sorted (arrow kind, neighbour colour)
-    signatures of its members until no class splits. Colours are renumbered
-    in signature order, so both complexes name them alike. None as soon as a
-    class holds unequal numbers of vertices from the two complexes."""
-    count = len(set(colour))
-    while True:
-        keys = [
-            (c, tuple(sorted([(kind, colour[w]) for kind, w in adjacent])))
-            for c, adjacent in zip(colour, links)
-        ]
-        names = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colour = [names[key] for key in keys]
-        balance = [0] * len(names)
-        for v, c in enumerate(colour):
-            balance[c] += 1 if v < n else -1
-        if any(balance):
-            return None
-        if len(names) == count:
-            return colour
-        count = len(names)
-
-
-def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:
-    """Search for a based isomorphism onto the U/V-interchanged complex;
-    returns the witness bijection or None."""
-    return find_based_isomorphism(complex, conjugate(complex))
+def _refine(links, n, colour, pending) -> bool:
+    """Split the cells of ``colour`` (vertex to cell number, numbered from 0
+    without gaps) until the members of each cell reach every cell along the
+    same multiset of arrow kinds. Each ``pending`` cell in turn splits the
+    cells that reach it; of the parts, all but the largest become pending,
+    and all of them if the split cell was. False as soon as a part holds
+    unequal numbers of vertices from the two complexes."""
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(colour):
+        cells.setdefault(c, set()).add(v)
+    queued = set(pending)
+    while pending:
+        splitter = pending.pop()
+        queued.discard(splitter)
+        reach: dict[int, list[tuple[int, int, int]]] = {}
+        for w in cells[splitter]:
+            for kind, v in links[w]:
+                reach.setdefault(v, []).append(kind)
+        touched: dict[int, dict[tuple, list[int]]] = {}
+        for v, kinds in reach.items():
+            kinds.sort()
+            touched.setdefault(colour[v], {}).setdefault(tuple(kinds), []).append(v)
+        for c, groups in touched.items():
+            members = cells[c]
+            parts = list(groups.values())
+            if len(parts) == 1 and len(parts[0]) == len(members):
+                continue
+            # Members the splitter does not reach keep the number c; if there
+            # are none, the largest part does.
+            for part in parts:
+                members.difference_update(part)
+            if not members:
+                largest = max(parts, key=len)
+                parts.remove(largest)
+                members.update(largest)
+            # The split cell was balanced, so it is once every new part is.
+            new = []
+            for part in parts:
+                if 2 * sum(v < n for v in part) != len(part):
+                    return False
+                new.append(len(cells))
+                cells[new[-1]] = set(part)
+                for v in part:
+                    colour[v] = new[-1]
+            if c not in queued:
+                new.append(c)
+                new.remove(max(new, key=lambda k: len(cells[k])))
+            pending += new
+            queued.update(new)
+    return True

@@ -25,6 +25,7 @@ from tunnelfill import (
     Monomial,
     NotRealizable,
     PartialRealization,
+    SearchBudgetError,
     SignSequence,
     TunnelFillError,
     UnknownGeneratorError,
@@ -571,3 +572,92 @@ def is_based_isomorphism(
         return False
     image = {Arrow(mapping[a.source], a.monomial, mapping[a.target]) for a in first.arrows}
     return image == second.arrows
+
+
+def conjugate(complex: BasedComplex) -> BasedComplex:
+    """The same complex with the roles of U and V interchanged."""
+    gens = tuple(
+        Generator(g.gid, g.name, g.grading.swapped()) for g in complex.generators
+    )
+    swap = {
+        a: Arrow(a.source, Monomial(a.monomial.v, a.monomial.u), a.target)
+        for a in complex.arrows
+    }
+    colors = {swap[a]: c for a, c in complex.colors.items()}
+    return BasedComplex(complex.ring, gens, frozenset(swap.values()), colors)
+
+
+def reference_isomorphism(
+    first: BasedComplex, second: BasedComplex
+) -> dict[int, int] | None:
+    """``find_based_isomorphism`` by whole signature rounds: every round
+    recomputes every vertex's signature until no colour splits. Same search
+    order and budget, so the same verdicts, witnesses and budget errors."""
+    n = len(first.generators)
+    if n != len(second.generators) or len(first.arrows) != len(second.arrows):
+        return None
+    # Vertex v < n is first's generator v, and v >= n is second's v - n.
+    colour = [
+        (g.grading.gu, g.grading.gv) for c in (first, second) for g in c.generators
+    ]
+    if sorted(colour[:n]) != sorted(colour[n:]):
+        return None
+    links: list[list[tuple[tuple[int, Monomial], int]]] = [[] for _ in colour]
+    for base, complex in ((0, first), (n, second)):
+        for s, m, t in complex.arrows:
+            links[base + s].append(((0, m), base + t))
+            links[base + t].append(((1, m), base + s))
+
+    # A branch individualizes a and b (a < 0: none) in its parent's colouring.
+    stack = [(colour, -1, -1)]
+    budget = homology.SEARCH_BUDGET
+    while stack:
+        colour, a, b = stack.pop()
+        if a >= 0:
+            if not budget:
+                raise SearchBudgetError(
+                    f"isomorphism search gave up after {homology.SEARCH_BUDGET} "
+                    "individualizations"
+                )
+            budget -= 1
+            colour = list(colour)
+            colour[a] = colour[b] = max(colour) + 1
+        colour = signature_rounds(links, n, colour)
+        if colour is None:
+            continue
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colour):
+            cells.setdefault(c, []).append(v)
+        tied = [cell for cell in cells.values() if len(cell) > 2]
+        if tied:
+            # A cell lists its first-complex half first, both in id order.
+            cell = min(tied, key=len)
+            stack += [(colour, cell[0], b) for b in reversed(cell[len(cell) // 2 :])]
+            continue
+        image = dict(sorted((x, y - n) for x, y in cells.values()))
+        if {Arrow(image[s], m, image[t]) for s, m, t in first.arrows} == second.arrows:
+            return image
+    return None
+
+
+def signature_rounds(links, n, colour):
+    """Split each colour class by the sorted (arrow kind, neighbour colour)
+    signatures of its members until no class splits. Colours are renumbered
+    in signature order, so both complexes name them alike. None as soon as a
+    class holds unequal numbers of vertices from the two complexes."""
+    count = len(set(colour))
+    while True:
+        keys = [
+            (c, tuple(sorted([(kind, colour[w]) for kind, w in adjacent])))
+            for c, adjacent in zip(colour, links)
+        ]
+        names = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colour = [names[key] for key in keys]
+        balance = [0] * len(names)
+        for v, c in enumerate(colour):
+            balance[c] += 1 if v < n else -1
+        if any(balance):
+            return None
+        if len(names) == count:
+            return colour
+        count = len(names)

@@ -2,6 +2,8 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
+
 from tunnelfill import InternalError, SignSequence, build_standard, serialize
 from tunnelfill import cli, homology
 from tunnelfill.census import census_rows
@@ -110,6 +112,16 @@ class TestRealizeVerifyRender:
         code, out, err = run(capsys, "verify", str(doc), "--check", "symmetry")
         assert code == 1 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("generators", [[], [{"name": "x", "gr": [0, 0]}]])
+    def test_symmetry_of_a_document_with_at_most_one_generator(
+        self, capsys, tmp_path, generators
+    ):
+        doc = tmp_path / "small.json"
+        doc.write_text(json.dumps({"ring": "Rinf", "generators": generators, "arrows": []}))
+        code, out, err = run(capsys, "verify", str(doc), "--check", "symmetry")
+        assert code == 0 and err == ""
+        assert out == "symmetry: PASS\n1/1 checks passed\n"
 
     def test_verify_reports_failures_without_error_exit(self, capsys, tmp_path):
         doc = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -27,13 +28,13 @@ from tunnelfill import homology
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import (
     ELIMINATION_DEGREE_BOUND,
-    conjugate,
     find_based_isomorphism,
     has_correct_homology,
     quotient_complex,
 )
 from tunnelfill.rings import R1, RINF, Arrow, make_complex
 from conftest import (
+    conjugate,
     disjoint_union,
     eliminated_reports,
     is_based_isomorphism,
@@ -41,8 +42,10 @@ from conftest import (
     layered_probe,
     long_symmetric_sequence,
     random_small_complex,
+    reference_isomorphism,
     relabelled,
     sign_sequences,
+    signature_rounds,
     translated_onto,
 )
 
@@ -124,6 +127,18 @@ class TestSymmetry:
         c = make_complex(RINF, gens, [Arrow(0, Monomial(1, 1), 1)])
         assert check_symmetry(c) == {0: 0, 1: 1}
 
+    def test_empty_complex_is_symmetric(self):
+        empty = make_complex(RINF, (), [])
+        assert check_symmetry(empty) == {}
+        assert find_based_isomorphism(empty, empty) == {}
+
+    def test_one_generator_is_its_own_image(self):
+        one = make_complex(RINF, (Generator(0, "x", Grading(2, -1)),), [])
+        assert check_symmetry(one) is None
+        centred = make_complex(RINF, (Generator(0, "x", Grading(0, 0)),), [])
+        assert check_symmetry(centred) == {0: 0}
+        assert find_based_isomorphism(one, one) == {0: 0}
+
     @given(sign_sequences(max_n=2, max_abs=2))
     def test_conjugating_preserves_the_verdict(self, seq):
         c = build_standard(seq)
@@ -181,6 +196,30 @@ def directed_cycles(*lengths):
             Arrow(base + i, Monomial(1, 1), base + (i + 1) % length) for i in range(length)
         ]
     return make_complex(RINF, gens, arrows)
+
+
+def directed_path(length):
+    """A directed path of UV arrows, every generator at (0, 0)."""
+    gens = [Generator(i, f"g{i}", Grading(0, 0)) for i in range(length)]
+    arrows = [Arrow(i, Monomial(1, 1), i + 1) for i in range(length - 1)]
+    return make_complex(RINF, gens, arrows)
+
+
+def disjoint_copies(complex, count):
+    """``count`` disjoint copies of ``complex``, copy i's generators shifted
+    by i times its size."""
+    size = len(complex.generators)
+    gens = [
+        Generator(i * size + g.gid, f"{g.name}.{i}", g.grading)
+        for i in range(count)
+        for g in complex.generators
+    ]
+    arrows = [
+        Arrow(i * size + a.source, a.monomial, i * size + a.target)
+        for i in range(count)
+        for a in complex.arrows
+    ]
+    return make_complex(complex.ring, gens, arrows)
 
 
 class TestIndividualization:
@@ -266,6 +305,108 @@ class TestSearchBounds:
         assert check_symmetry(c) == {0: 2, 1: 1, 2: 0}
         with pytest.raises(SearchBudgetError):
             check_symmetry(twins)
+
+
+def cells_of(colour):
+    """A colouring's cells as sorted lists of vertices, in sorted order."""
+    cells = {}
+    for v, c in enumerate(colour):
+        cells.setdefault(c, []).append(v)
+    return sorted(cells.values())
+
+
+@functools.cache
+def census_realizations():
+    """The realizations of the n <= 2, |a| <= 3 census's realizable rows."""
+    realized = (realize(seq) for seq in census_sequences(2, 3))
+    return tuple(glued for glued in realized if isinstance(glued, BasedComplex))
+
+
+class TestAgainstReference:
+    """The worklist search against the signature-round search it replaced
+    (``conftest.reference_isomorphism``): the same verdict and witness."""
+
+    def test_census_standard_complexes(self):
+        symmetric = 0
+        for seq in census_sequences(3, 3):
+            c = build_standard(seq)
+            witness = check_symmetry(c)
+            assert witness == reference_isomorphism(c, conjugate(c)), seq
+            symmetric += witness is not None
+        assert symmetric == 258
+
+    def test_criterion_9_documents(self):
+        rng = random.Random(90125)
+        for _ in range(500):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            matrix = [[rng.randrange(16) for _ in range(ncols)] for _ in range(nrows)]
+            c = parse(dense_document(matrix))
+            assert check_symmetry(c) == reference_isomorphism(c, conjugate(c)), matrix
+
+    def test_census_realizations(self):
+        for glued in census_realizations():
+            assert check_symmetry(glued) == reference_isomorphism(glued, conjugate(glued))
+
+    def test_1541_generator_realization(self):
+        glued = realize(long_symmetric_sequence())
+        assert check_symmetry(glued) == reference_isomorphism(glued, conjugate(glued))
+
+    def test_every_exhaustive_search_pair(self):
+        pairs = TestAgainstExhaustiveSearch().pairs
+        for seed in range(150):
+            for kind, (first, second, shift) in enumerate(pairs(seed)):
+                if shift:
+                    first = translated_onto(first, second)
+                expected = reference_isomorphism(first, second)
+                assert find_based_isomorphism(first, second) == expected, (seed, kind)
+
+    def test_each_refinement_reaches_the_signature_rounds_partition(self, monkeypatch):
+        # The witness depends on nothing but the partitions, so each one the
+        # worklist reaches must be the one whole signature rounds reach.
+        refine = homology._refine
+
+        def checked(links, n, colour, pending):
+            start = list(colour)
+            stable = refine(links, n, colour, pending)
+            rounds = signature_rounds(links, n, start)
+            assert stable == (rounds is not None)
+            if stable:
+                assert cells_of(colour) == cells_of(rounds)
+            return stable
+
+        monkeypatch.setattr(homology, "_refine", checked)
+        rng = random.Random(7)
+        for _ in range(2000):
+            count = rng.randint(2, 9)
+            first = random_small_complex(rng, count)
+            second = relabelled(first, rng.sample(range(count), count))
+            assert find_based_isomorphism(first, second) is not None
+
+
+class TestScaling:
+    """Refinement re-splits only the cells that reach a changed cell, so a
+    long chain of look-alike generators costs about linear time."""
+
+    def test_1541_generator_path(self):
+        path = directed_path(1541)
+        identity = {i: i for i in range(1541)}
+        started = time.perf_counter()
+        assert find_based_isomorphism(path, path) == identity
+        assert check_symmetry(path) == identity
+        assert time.perf_counter() - started < 0.5
+
+    def test_twenty_copies_need_nineteen_pairings(self, monkeypatch):
+        part = realize(SignSequence((-1, 1, 2, -1, 1, 3, -3, -1, 1, -2, -1, 1)))
+        assert len(part.generators) == 29
+        copies = disjoint_copies(part, 20)
+        monkeypatch.setattr(homology, "SEARCH_BUDGET", 19)
+        started = time.perf_counter()
+        witness = check_symmetry(copies)
+        assert time.perf_counter() - started < 0.2
+        assert is_based_isomorphism(copies, conjugate(copies), witness)
+        monkeypatch.setattr(homology, "SEARCH_BUDGET", 18)
+        with pytest.raises(SearchBudgetError, match="after 18 individualizations"):
+            check_symmetry(copies)
 
 
 class TestRealizationHomology:
@@ -377,13 +518,10 @@ class TestReadOff:
             assert check_correct_homology(complex) == eliminated_reports(complex)
 
     def test_census_realizations(self, snf_calls):
-        realized = 0
-        for seq in census_sequences(2, 3):
-            glued = realize(seq)
-            if isinstance(glued, BasedComplex):
-                realized += 1
-                assert check_correct_homology(glued) == eliminated_reports(glued)
-        assert realized == 636
+        realized = census_realizations()
+        for glued in realized:
+            assert check_correct_homology(glued) == eliminated_reports(glued)
+        assert len(realized) == 636
         assert snf_calls == []
 
     @pytest.mark.parametrize(
