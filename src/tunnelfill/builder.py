@@ -107,16 +107,16 @@ def double(lifted: BasedComplex) -> BasedComplex:
     """Join two copies of a level-2 chain complex into a chain complex over
     the full ring, using unit-diagonal and correction arrows. The second
     copy's ids follow the first's, in the same order."""
-    square = differential_square(lift_to(lifted, RINF))
-    for x, terms in square.items():
-        for (y, mono), _ in terms.items():
-            if mono.min_exp <= 1:
-                raise ConstructionError(
-                    f"input is not a chain complex over the level-2 ring: "
-                    f"d^2 has the term {mono} from {x} to {y}"
-                )
-
     count = len(lifted.generators)
+    colors: dict[Arrow, str] = {}
+    for x, mono, y in differential_square(lift_to(lifted, RINF)):
+        if mono.min_exp <= 1:
+            raise ConstructionError(
+                f"input is not a chain complex over the level-2 ring: "
+                f"d^2 has the term {mono} from {x} to {y}"
+            )
+        colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
+
     y_gens = tuple(
         Generator(
             count + g.gid,
@@ -126,16 +126,12 @@ def double(lifted: BasedComplex) -> BasedComplex:
         for g in lifted.generators
     )
 
-    # Every arrow of the doubled complex, with its color.
-    colors: dict[Arrow, str] = {}
+    # The rest of the doubled complex's arrows, with their colors.
     for a in lifted.arrows:
         colors[a] = BLACK
         colors[Arrow(count + a.source, a.monomial, count + a.target)] = RED
     for gid in range(count):
         colors[Arrow(count + gid, Monomial(1, 1), gid)] = BLUE
-    for x, terms in square.items():
-        for y, mono in terms:
-            colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
     return make_complex(RINF, lifted.generators + y_gens, colors.keys(), colors)
 

@@ -21,7 +21,7 @@ from collections import Counter
 
 from .builder import ExtensionParams, realize
 from .census import census_rows, cross_check_with_oracle, write_census_csv
-from .errors import TunnelFillError
+from .errors import DocumentError, TunnelFillError
 from .filler import NotRealizable, PartialRealization, decide
 from .homology import check_correct_homology, check_symmetry
 from .render import render_svg
@@ -165,21 +165,30 @@ def _realize(args) -> int:
     return 0
 
 
+def _read_document(path: str):
+    """The complex in the UTF-8 document at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from None
+    return parse(text)
+
+
 def _verify(args) -> int:
     wanted = [c.strip() for c in args.check.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in ALL_CHECKS]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    with open(args.file, "r", encoding="utf-8") as handle:
-        complex = parse(handle.read())
+    complex = _read_document(args.file)
 
     failures = 0
     for check in wanted:
         if check == "d2":
             square = differential_square(complex)
             ok = not square
-            detail = "" if ok else f" ({sum(len(t) for t in square.values())} nonzero terms)"
+            detail = "" if ok else f" ({len(square)} nonzero terms)"
         elif check == "degree":
             bad = degree_violations(complex)
             ok = not bad
@@ -247,8 +256,7 @@ def _census(args) -> int:
 
 
 def _render(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        complex = parse(handle.read())
+    complex = _read_document(args.file)
     svg = render_svg(complex, labels=not args.no_labels)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg)
@@ -267,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except TunnelFillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TunnelFillError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

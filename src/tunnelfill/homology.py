@@ -192,22 +192,29 @@ def find_based_isomorphism(
     the complexity of canonical colour refinement", Theory Comput. Syst. 60,
     2017. Raises SearchBudgetError after ``SEARCH_BUDGET`` individualizations.
     """
-    return _isomorphism(*_plain(first), *_plain(second))
+    return _isomorphism(_gradings(first), _arrows(first), _gradings(second), _arrows(second))
 
 
 def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:
     """Search for a based isomorphism onto the U/V-interchanged complex;
-    returns the witness bijection or None."""
-    gradings, arrows = _plain(complex)
-    swapped = [(s, v, u, t) for s, u, v, t in arrows]
-    return _isomorphism(gradings, arrows, [(v, u) for u, v in gradings], swapped)
+    returns the witness bijection or None, reading no arrow when the
+    gradings are not swap-symmetric."""
+    gradings = _gradings(complex)
+    conjugate = [(v, u) for u, v in gradings]
+    if sorted(gradings) != sorted(conjugate):
+        return None
+    arrows = _arrows(complex)
+    return _isomorphism(gradings, arrows, conjugate, [(s, v, u, t) for s, u, v, t in arrows])
 
 
-def _plain(complex: BasedComplex):
-    """The gradings as (gu, gv) pairs in id order and the arrows as
-    (source, u, v, target)."""
-    gradings = [(g.grading.gu, g.grading.gv) for g in complex.generators]
-    return gradings, [(s, m.u, m.v, t) for s, m, t in complex.arrows]
+def _gradings(complex: BasedComplex) -> list[tuple[int, int]]:
+    """The gradings as (gu, gv) pairs in id order."""
+    return [(g.grading.gu, g.grading.gv) for g in complex.generators]
+
+
+def _arrows(complex: BasedComplex) -> list[tuple[int, int, int, int]]:
+    """The arrows as (source, u, v, target)."""
+    return [(s, m.u, m.v, t) for s, m, t in complex.arrows]
 
 
 def _isomorphism(gradings1, arrows1, gradings2, arrows2):

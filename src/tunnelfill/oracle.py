@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Arrow, BasedComplex, Generator, Monomial, differential_square
+from .rings import Arrow, BasedComplex, Generator, Monomial, Term, differential_square
 
 
 def candidate_arrows(complex: BasedComplex) -> tuple[Arrow, ...]:
@@ -81,12 +81,10 @@ def oracle_decide(complex: BasedComplex) -> OracleResult:
     complex over the level-2 ring whose mod-UV reduction is the input."""
     candidates = candidate_arrows(complex)
 
-    # One bit per d^2 term, numbered as the terms turn up.
-    bits: dict[tuple[int, object, int], int] = {}
-    base_mask = 0
-    for x, terms in differential_square(complex).items():
-        for y, mono in terms:
-            base_mask ^= bits.setdefault((x, mono, y), 1 << len(bits))
+    # One bit per term: d^2's terms first, in their order, then each new
+    # term a candidate's paths reach, as it turns up.
+    bits: dict[Term, int] = {t: 1 << i for i, t in enumerate(differential_square(complex))}
+    base_mask = (1 << len(bits)) - 1
 
     out = complex.outgoing
     inc = complex.incoming

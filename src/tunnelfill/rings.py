@@ -152,8 +152,8 @@ class Generator:
     grading: Grading
 
 
-# d(x) as a sparse F2 vector: (generator id, monomial) -> 1.
-TermList = dict[tuple[int, Monomial], int]
+# One F2 term of d^2: (source id, monomial, target id).
+Term = tuple[int, Monomial, int]
 
 
 class _Adjacency:
@@ -296,16 +296,15 @@ def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     return BasedComplex(target, complex.generators, complex.arrows, complex.colors)
 
 
-def differential_square(complex: BasedComplex) -> dict[int, TermList]:
-    """d^2 of every generator, as nonempty term lists reduced in the ring,
-    keyed by generator id in increasing order, each list sorted by
-    (target, monomial).
+def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
+    """The terms (source, monomial, target) of d^2 that survive in the ring,
+    each once and in sorted order.
 
     The complex is a chain complex exactly when the result is empty.
     """
     out = complex.outgoing
     level = complex.ring.level
-    squares: dict[int, TermList] = {}
+    terms: set[Term] = set()
     for first in complex.arrows:
         seconds = out.get(first.target)
         if seconds is None:
@@ -314,17 +313,9 @@ def differential_square(complex: BasedComplex) -> dict[int, TermList]:
         for second in seconds:
             m2 = second.monomial
             u, v = m1.u + m2.u, m1.v + m2.v
-            if level is not None and u >= level and v >= level:
-                continue
-            acc = squares.setdefault(first.source, {})
-            key = (second.target, Monomial.of(u, v))
-            if key in acc:
-                del acc[key]
-            else:
-                acc[key] = 1
-    if not squares:
-        return squares
-    return {x: dict(sorted(t.items())) for x, t in sorted(squares.items()) if t}
+            if level is None or u < level or v < level:
+                terms ^= {(first.source, Monomial.of(u, v), second.target)}
+    return tuple(sorted(terms))
 
 
 def arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:

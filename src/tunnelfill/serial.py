@@ -201,9 +201,10 @@ def parse_document(doc: Any) -> BasedComplex:
 
 
 def parse(text: str) -> BasedComplex:
+    # ValueError also covers integers past Python's digit limit.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     return parse_document(doc)
 

@@ -131,6 +131,53 @@ def based_complexes(draw, max_n: int = 2, max_abs: int = 3):
     return add_arrows(complex, extras)
 
 
+# Three documents no JSON reading accepts, as file bytes: not UTF-8, nested
+# deeper than json's recursion limit, and an integer past Python's digit limit.
+UNREADABLE_DOCUMENTS = {
+    "not_utf8": b"\xff\xfe",
+    "too_deep": b"[" * 200_000 + b"]" * 200_000,
+    "long_integer": (
+        b'{"ring": "Rinf", "generators": [{"name": "x", "gr": [' + b"9" * 5000
+        + b', 0]}], "arrows": []}'
+    ),
+}
+
+_FIELDS = ["ring", "generators", "arrows", "name", "gr", "from", "to", "u", "v", "color"]
+_NAMES = st.sampled_from(["x", "y", "z"])
+
+
+def json_values():
+    """JSON values of dicts, lists, ints of any size, floats, strings and
+    bools; dict keys are mostly document field names."""
+    return st.recursive(
+        st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(_FIELDS) | st.text(), inner, max_size=5),
+        max_leaves=20,
+    )
+
+
+def near_documents():
+    """Values shaped like complex documents, with any entry free to be any
+    JSON value, so that ``parse`` runs deep and sometimes succeeds."""
+    anything = json_values()
+    count = st.integers(-3, 3) | anything
+    generator = st.fixed_dictionaries(
+        {"name": _NAMES | anything, "gr": st.lists(count, min_size=2, max_size=2) | anything}
+    )
+    arrow = st.fixed_dictionaries(
+        {"from": _NAMES | anything, "to": _NAMES | anything, "u": count, "v": count},
+        optional={"color": st.text() | anything},
+    )
+    return st.fixed_dictionaries(
+        {
+            "ring": st.sampled_from(["R1", "R2", "Rinf"]) | anything,
+            "generators": st.lists(generator | anything, max_size=4),
+            "arrows": st.lists(arrow | anything, max_size=4),
+        }
+    )
+
+
 # The reference for standard.build_extended: the construction it replaced,
 # which builds the body with build_standard, recomputes the two ends and
 # every arrow, and checks the result with make_complex.
@@ -213,6 +260,20 @@ def is_vertical(mono: Monomial) -> bool:
     return mono.u == 0 and mono.v > 0
 
 
+def all_paths(complex: BasedComplex) -> dict[tuple, list[tuple[Arrow, Arrow]]]:
+    """Every two-arrow path, by (source, monomial, target), with no
+    cancellation and no reduction: the brute-force reference walk."""
+    by_source = {}
+    for a in complex.arrows:
+        by_source.setdefault(a.source, []).append(a)
+    paths = {}
+    for first in complex.arrows:
+        for second in by_source.get(first.target, ()):
+            cause = (first.source, first.monomial * second.monomial, second.target)
+            paths.setdefault(cause, []).append((first, second))
+    return paths
+
+
 def one_arrow_at_a_time(chain: BasedComplex, rng: random.Random) -> DecisionOutcome:
     """The reference for ``partial_realize``'s order independence: lift
     ``chain`` to R2, then, while d^2 is not zero, take one of the verifier's
@@ -222,8 +283,7 @@ def one_arrow_at_a_time(chain: BasedComplex, rng: random.Random) -> DecisionOutc
     current = lift_to(chain, R2)
     events = []
     while square := differential_square(current):
-        terms = [(x, m, y) for x, ts in square.items() for y, m in ts]
-        cause = x, m, y = rng.choice(terms)
+        cause = x, m, y = rng.choice(square)
         out = current.outgoing
         paths = [
             (first, second)

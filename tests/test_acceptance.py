@@ -137,7 +137,7 @@ def test_criterion_2_worked_examples():
         for e in outcome.added
     ]
     assert added == [("x3", 1, 1, "x0"), ("x6", 1, 2, "x3")]
-    assert differential_square(c) == {}
+    assert differential_square(c) == ()
 
 
 @criterion(3, "oracle equivalence", budget_seconds=60.0)
@@ -217,7 +217,7 @@ def test_criterion_6_realization_pipeline():
             checked += 1
             glued = realize(seq)
             assert not isinstance(glued, NotRealizable), entries
-            assert differential_square(glued) == {}, entries
+            assert differential_square(glued) == (), entries
             assert degree_violations(glued) == [], entries
             u_side, v_side = check_correct_homology(glued)
             assert u_side.verdict and v_side.verdict, entries

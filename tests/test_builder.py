@@ -83,7 +83,7 @@ class TestExtension:
         # max|a_i| + 1, one step below the default.
         seq = SignSequence((2, 2, -3, 2))
         lifted = extend_and_realize(seq, ExtensionParams(4, 4))
-        assert differential_square(lifted.complex) == {}
+        assert differential_square(lifted.complex) == ()
 
     def test_default_lengths_lift_every_small_realizable_sequence(self):
         # At max|a_i| + 1, 84 of these sequences keep a unit gap at the seam
@@ -104,7 +104,7 @@ class TestExtension:
         with pytest.raises(ExtensionError):
             extend_and_realize(seq, ExtensionParams(3, 3))
         lifted = extend_and_realize(seq, ExtensionParams(4, 4))
-        assert differential_square(lifted.complex) == {}
+        assert differential_square(lifted.complex) == ()
         assert isinstance(realize(seq), object) and not isinstance(
             realize(seq), NotRealizable
         )
@@ -146,7 +146,7 @@ class TestDoubling:
             seq = SignSequence(entries)
             lifted = extend_and_realize(seq, default_extension_params(seq))
             doubled = double(lifted.complex)
-            assert differential_square(doubled) == {}
+            assert differential_square(doubled) == ()
             assert degree_violations(doubled) == []
 
     def test_rejects_inputs_that_are_not_chain_complexes(self):
@@ -273,7 +273,7 @@ class TestRealize:
         for entries in [(1, -1, 3, -2), (2, 2), (-1, 1, 2, -1, 1, 3), (1, -1)]:
             glued = realize(SignSequence(entries))
             assert glued.ring == RINF
-            assert differential_square(glued) == {}
+            assert differential_square(glued) == ()
             assert degree_violations(glued) == []
             assert has_correct_homology(glued)
 
@@ -286,7 +286,7 @@ class TestRealize:
         # With offset zero a source reaching both endpoints cancels its two
         # z-arrows; the output must still verify.
         glued = realize(SignSequence((1, -1)))
-        assert differential_square(glued) == {}
+        assert differential_square(glued) == ()
         assert has_correct_homology(glued)
 
     def test_not_realizable_is_forwarded(self):

@@ -2,13 +2,15 @@ import json
 import shlex
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from tunnelfill import InternalError, SignSequence, build_standard, serialize
 from tunnelfill import cli, homology
 from tunnelfill.census import census_rows
 from tunnelfill.cli import main
-from conftest import disjoint_union, long_symmetric_sequence
+from conftest import UNREADABLE_DOCUMENTS, disjoint_union, long_symmetric_sequence
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -202,6 +204,46 @@ class TestRealizeVerifyRender:
         code, _, err = run(capsys, "verify", "/does/not/exist.json")
         assert code == 1
         assert "error:" in err
+
+
+class TestUnreadableDocuments:
+    """verify and render read a document the same way: whatever the bytes,
+    they either run or exit 1 with a single error line."""
+
+    COMMANDS = ("verify", "render")
+
+    @staticmethod
+    def argv(command, doc):
+        return [command, str(doc), *(["-o", f"{doc}.svg"] if command == "render" else [])]
+
+    @staticmethod
+    def assert_one_error_line(code, out, err):
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_DOCUMENTS))
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_1_with_one_error_line(self, capsys, tmp_path, command, case):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(UNREADABLE_DOCUMENTS[case])
+        self.assert_one_error_line(*run(capsys, *self.argv(command, doc)))
+
+    def test_not_utf8_is_named(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(UNREADABLE_DOCUMENTS["not_utf8"])
+        _, _, err = run(capsys, "verify", str(doc))
+        assert err.startswith(f"error: {doc} is not UTF-8: ")
+
+    # Each example overwrites the one file and reads capsys to the end.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary())
+    def test_any_bytes_run_or_exit_with_one_error_line(self, capsys, tmp_path, data):
+        doc = tmp_path / "bytes.json"
+        doc.write_bytes(data)
+        for command in self.COMMANDS:
+            code, out, err = run(capsys, *self.argv(command, doc))
+            if code:
+                self.assert_one_error_line(code, out, err)
 
 
 class TestCensus:

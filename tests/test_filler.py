@@ -24,7 +24,7 @@ from tunnelfill.census import census_sequences
 from tunnelfill.filler import fill_links, forced_response, partial_realize
 from tunnelfill.rings import R1, R2, add_arrows, lift_to, make_complex
 from tunnelfill.standard import build_extended
-from conftest import id_of, one_arrow_at_a_time, reduce_to, sign_sequences
+from conftest import all_paths, id_of, one_arrow_at_a_time, reduce_to, sign_sequences
 
 
 def run(*entries):
@@ -79,7 +79,7 @@ class TestWorkedExamples:
             ("x3", 1, 1, "x0", "horizontal-first"),
             ("x6", 1, 2, "x3", "vertical-first"),
         ]
-        assert differential_square(outcome.complex) == {}
+        assert differential_square(outcome.complex) == ()
 
     def test_unit_corner(self):
         outcome = run(1, 1)
@@ -245,29 +245,11 @@ class TestSubstringRule:
         assert isinstance(run(-8, 2, 1, 2), NotRealizable)
 
 
-def terms_of(complex):
-    """The d^2 terms of the verifier, as causes."""
-    return {(x, m, y) for x, terms in differential_square(complex).items() for y, m in terms}
-
-
-def all_paths(complex):
-    """Every two-arrow path, by (source, monomial, target), with no
-    cancellation and no reduction: the brute-force reference walk."""
-    by_source = {}
-    for a in complex.arrows:
-        by_source.setdefault(a.source, []).append(a)
-    paths = {}
-    for first in complex.arrows:
-        for second in by_source.get(first.target, ()):
-            cause = (first.source, first.monomial * second.monomial, second.target)
-            paths.setdefault(cause, []).append((first, second))
-    return paths
-
 
 def assert_stage_matches(causes, complex):
     """``causes`` are exactly the verifier's d^2 terms of ``complex``, each
     with its one and only path as witness."""
-    assert set(causes) == terms_of(complex)
+    assert set(causes) == set(differential_square(complex))
     paths = all_paths(complex)
     for cause, witness in causes.items():
         assert paths[cause] == [witness], cause

@@ -291,11 +291,21 @@ class TestSearchBounds:
     def test_layered_probe_is_refuted_within_a_second(self, h, seed):
         probe = layered_probe(h, seed)
         assert len(probe.generators) == 4 * h
-        assert differential_square(probe) == {}
+        assert differential_square(probe) == ()
         assert degree_violations(probe) == []
         started = time.perf_counter()
         assert check_symmetry(probe) is None
         assert time.perf_counter() - started < 1.0
+
+    def test_unsymmetric_gradings_end_the_search_before_the_arrows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran past the gradings")
+
+        c = build_standard(SignSequence((2, 2)))
+        gradings = sorted(g.grading for g in c.generators)
+        assert gradings != sorted(g.grading.swapped() for g in c.generators)
+        monkeypatch.setattr(homology, "_isomorphism", refuse)
+        assert check_symmetry(c) is None
 
     def test_ties_cost_individualizations_from_the_budget(self, monkeypatch):
         c = build_standard(SignSequence((-1, 1)))

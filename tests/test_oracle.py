@@ -192,7 +192,7 @@ class TestElimination:
             c = lift_to(build_standard(seq), R2)
             result = oracle_decide(c)
             if result.realizable:
-                assert differential_square(add_arrows(c, result.witness)) == {}, seq
+                assert differential_square(add_arrows(c, result.witness)) == (), seq
                 certified += 1
         assert certified == 636
 

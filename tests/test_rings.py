@@ -1,7 +1,8 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from tunnelfill import (
     Arrow,
@@ -28,8 +29,10 @@ from tunnelfill.rings import (
     lift_to,
     make_complex,
 )
+from tunnelfill.census import census_sequences
 from conftest import (
     InvalidReductionError,
+    all_paths,
     arrow_by_names,
     based_complexes,
     candidate_monomial,
@@ -40,6 +43,16 @@ from conftest import (
 
 def seq(*entries):
     return build_standard(SignSequence(entries))
+
+
+def reference_square(complex):
+    """d^2 by brute force: the terms reached by an odd number of two-arrow
+    paths whose monomial survives in the ring."""
+    return {
+        term
+        for term, paths in all_paths(complex).items()
+        if len(paths) % 2 and not term[1].is_zero_in(complex.ring)
+    }
 
 
 class TestMonomialZero:
@@ -77,7 +90,7 @@ class TestMonomialInterning:
             ]
             doc = json.dumps({"ring": "Rinf", "generators": gens, "arrows": arrows})
             square = differential_square(parse(doc))
-            assert square == {0: {(2, Monomial(k + 1, k + 1)): 1}}
+            assert square == ((0, Monomial(k + 1, k + 1), 2),)
             assert len(rings._MONOMIALS) <= 64
 
 
@@ -146,34 +159,60 @@ class TestDifferentialSquare:
     def test_staircase_with_tunnels(self):
         c = lift_to(seq(-1, 1, 2, -1, 1, 2), R2)
         square = differential_square(c)
-        assert square == {
-            id_of(c, "x3"): {(id_of(c, "x1"), Monomial(2, 1)): 1},
-            id_of(c, "x6"): {(id_of(c, "x4"), Monomial(1, 2)): 1},
-        }
+        assert square == (
+            (id_of(c, "x3"), Monomial(2, 1), id_of(c, "x1")),
+            (id_of(c, "x6"), Monomial(1, 2), id_of(c, "x4")),
+        )
 
     def test_alternating_signs_square_to_zero(self):
-        assert differential_square(lift_to(seq(2, -2), RINF)) == {}
+        assert differential_square(lift_to(seq(2, -2), RINF)) == ()
 
     def test_adjacent_unit_arrows(self):
         c = lift_to(seq(1, 1), R2)
-        assert differential_square(c) == {
-            id_of(c, "x2"): {(id_of(c, "x0"), Monomial(1, 1)): 1}
-        }
+        assert differential_square(c) == ((id_of(c, "x2"), Monomial(1, 1), id_of(c, "x0")),)
 
     def test_term_invisible_at_level_one(self):
-        assert differential_square(seq(1, 1)) == {}
+        assert differential_square(seq(1, 1)) == ()
+
+    # The two paths from g0 to g3, U then V and V then U, cancel; the paths
+    # on to g4 survive.
+    @example(
+        make_complex(
+            RINF,
+            [Generator(i, f"g{i}", Grading(0, 0)) for i in range(5)],
+            [
+                Arrow(0, Monomial(1, 0), 1),
+                Arrow(1, Monomial(0, 1), 3),
+                Arrow(0, Monomial(0, 1), 2),
+                Arrow(2, Monomial(1, 0), 3),
+                Arrow(3, Monomial(1, 0), 4),
+            ],
+        ),
+        RINF,
+    )
+    @given(based_complexes(), st.sampled_from([R1, R2, RINF]))
+    def test_terms_are_the_odd_surviving_paths(self, complex, ring):
+        if ring < complex.ring:
+            complex = reduce_to(complex, ring)
+        else:
+            complex = lift_to(complex, ring)
+        assert set(differential_square(complex)) == reference_square(complex)
+
+    def test_terms_are_the_odd_surviving_paths_on_the_census(self):
+        for sequence in census_sequences(3, 3):
+            complex = lift_to(build_standard(sequence), R2)
+            assert set(differential_square(complex)) == reference_square(complex), sequence
 
     @given(based_complexes())
     def test_terms_come_out_sorted_whatever_the_arrow_order(self, complex):
         lifted = lift_to(complex, RINF)
         square = differential_square(lifted)
-        assert list(square) == sorted(square)
-        for terms in square.values():
-            assert list(terms) == sorted(terms)
+        assert type(square) is tuple
+        assert list(square) == sorted(set(square))
         reordered = make_complex(
             RINF, lifted.generators, sorted(lifted.arrows, reverse=True)
         )
-        assert list(differential_square(reordered).items()) == list(square.items())
+        assert differential_square(reordered) == square
 
     @given(based_complexes())
     def test_adding_an_arrow_changes_square_by_paths_through_it(self, complex):
@@ -205,20 +244,16 @@ class TestDifferentialSquare:
         for a in out.get(extra.target, ()):
             m = extra.monomial * a.monomial
             if not m.is_zero_in(complex.ring):
-                key = (extra.source, (a.target, m))
+                key = (extra.source, m, a.target)
                 expected_delta[key] = expected_delta.get(key, 0) ^ 1
         for a in inc.get(extra.source, ()):
             m = a.monomial * extra.monomial
             if not m.is_zero_in(complex.ring):
-                key = (a.source, (extra.target, m))
+                key = (a.source, m, extra.target)
                 expected_delta[key] = expected_delta.get(key, 0) ^ 1
 
-        flat_before = {
-            (x, term) for x, terms in before.items() for term in terms
-        }
-        flat_after = {(x, term) for x, terms in after.items() for term in terms}
         toggled = {key for key, parity in expected_delta.items() if parity}
-        assert flat_after ^ flat_before == toggled
+        assert set(after) ^ set(before) == toggled
 
 
 class TestDegreeCheck:

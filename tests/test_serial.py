@@ -19,6 +19,7 @@ from tunnelfill import (
     PartialRealization,
     SequenceParseError,
     SignSequence,
+    TunnelFillError,
     build_standard,
     decide,
     parse,
@@ -30,7 +31,14 @@ from tunnelfill.builder import extend_and_realize
 from tunnelfill.rings import R1, RINF, make_complex
 from tunnelfill.serial import NAMED_RINGS
 from tunnelfill.standard import build_extended
-from conftest import reference_serialize, sign_sequences, to_document
+from conftest import (
+    UNREADABLE_DOCUMENTS,
+    json_values,
+    near_documents,
+    reference_serialize,
+    sign_sequences,
+    to_document,
+)
 
 
 class TestParseSequence:
@@ -442,3 +450,23 @@ class TestTypedErrors:
     def test_unhashable_arrow_end(self):
         self._raises(_mutated(_arrow(0, **{"from": []})), "arrow 0: unknown generator []")
         self._raises(_mutated(_arrow(1, to={})), "arrow 1: unknown generator {}")
+
+
+class TestUnreadableJson:
+    """Text that json.loads refuses with something other than a
+    JSONDecodeError is still a DocumentError."""
+
+    def test_nesting_past_the_recursion_limit(self):
+        with pytest.raises(DocumentError, match="recursion"):
+            parse(UNREADABLE_DOCUMENTS["too_deep"].decode())
+
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(DocumentError, match="digits"):
+            parse(UNREADABLE_DOCUMENTS["long_integer"].decode())
+
+    @given(json_values() | near_documents())
+    def test_any_json_value_parses_or_raises_a_typed_error(self, value):
+        try:
+            parse(json.dumps(value))
+        except TunnelFillError:
+            pass
