@@ -31,10 +31,9 @@ def pmul(a: Poly, b: Poly) -> Poly:
 def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = pdeg(b)
+    db = b.bit_length()
     q = 0
-    while a and pdeg(a) >= db:
-        shift = pdeg(a) - db
+    while (shift := a.bit_length() - db) >= 0:
         q ^= 1 << shift
         a ^= b << shift
     return q, a
@@ -88,10 +87,55 @@ def rank(m: PolyMatrix) -> int:
     return r
 
 
+class _Replayed(PolyMatrix):
+    """A transform of ``smith_normal_form``: the identity of order ``size``
+    with a log of row moves replayed on it the first time ``rows`` is read,
+    then kept in the instance dict, where later reads find it. It equals any
+    PolyMatrix with the same rows."""
+
+    def __init__(self, size: int, moves: list, transpose: bool):
+        self.__dict__.update(size=size, moves=moves, transpose=transpose)
+
+    def __getattr__(self, name):
+        if name != "rows":
+            raise AttributeError(name)
+        rows = _replay(self.size, self.moves)
+        if self.transpose:
+            rows = tuple(zip(*rows))
+        self.__dict__["rows"] = rows
+        return rows
+
+    def __eq__(self, other):
+        return isinstance(other, PolyMatrix) and self.rows == other.rows
+
+    __hash__ = PolyMatrix.__hash__
+
+
+def _replay(size: int, moves: list) -> tuple[tuple[Poly, ...], ...]:
+    """The identity of order ``size`` after each move of the log: ``(i, j,
+    None)`` swaps rows i and j, ``(src, dst, q)`` adds q times row dst to
+    row src."""
+    a = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j, q in moves:
+        if q is None:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [x ^ pmul(y, q) if y else x for x, y in zip(a[i], a[j])]
+    return tuple(map(tuple, a))
+
+
 def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Diagonalize m over F2[t]: returns (left, diag, right) with
     m = left @ diag @ right, the transforms invertible, and each diagonal
     entry dividing the next.
+
+    Only the block is eliminated. Each elementary move on it is logged, and
+    a transform is built by replaying its log on the identity the first time
+    its ``rows`` is read, so a caller that reads only ``diag`` never builds
+    one. Over F2 swaps and additions are their own inverses: row dst += q *
+    row src of the block is column src += q * column dst of ``left``, kept
+    as a row move of its transpose, and col dst += q * col src is row src
+    += q * row dst of ``right``.
 
     Pivot rule: move a minimum-degree entry of the remaining block to the
     pivot and divide it out of its row and column. Any nonzero remainder
@@ -108,81 +152,70 @@ def smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix
     """
     nrows, ncols = m.nrows, m.ncols
     a = [list(r) for r in m.rows]
-    left = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    right = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    # Elementary moves keep the invariant m = left @ a @ right. Over F2 both
-    # swaps and additions are their own inverses, so applying the same move
-    # to the transform suffices.
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(nrows):  # left @ swap: exchange columns i, j
-            left[r][i], left[r][j] = left[r][j], left[r][i]
-
-    def swap_cols(i, j):
-        for r in range(nrows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        right[i], right[j] = right[j], right[i]
-
-    def add_row(src, dst, q):  # row dst += q * row src
-        for c in range(ncols):
-            a[dst][c] ^= pmul(q, a[src][c])
-        for r in range(nrows):  # left: column src += q * column dst
-            left[r][src] ^= pmul(q, left[r][dst])
-
-    def add_col(src, dst, q):  # col dst += q * col src
-        for r in range(nrows):
-            a[r][dst] ^= pmul(q, a[r][src])
-        for c in range(ncols):  # right: row src += q * row dst
-            right[src][c] ^= pmul(q, right[dst][c])
-
-    def smallest_nonzero(t):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (best is None or pdeg(a[i][j]) < pdeg(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+    left_moves: list = []  # row moves of left's transpose
+    right_moves: list = []  # row moves of right
 
     t = 0
     while t < min(nrows, ncols):
-        pos = smallest_nonzero(t)
+        # A minimum-degree entry of the remaining block, first in row order.
+        # An entry has lower degree than the best so far exactly when it is
+        # below the best's leading term.
+        pos, lead = None, 0
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                e = row[j]
+                if e and (pos is None or e < lead):
+                    pos, lead = (i, j), 1 << (e.bit_length() - 1)
         if pos is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        i, j = pos
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            left_moves.append((t, i, None))
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            right_moves.append((t, j, None))
         # Clear the pivot's row and column; a nonzero remainder has smaller
-        # degree than the pivot, so re-pick the minimum instead.
+        # degree than the pivot, so re-pick the minimum instead. Row i +=
+        # q * row t leaves row t as it is, and col j += q * col t touches no
+        # other col, so every quotient is read off the entries as they are.
+        top = a[t]
+        pivot = top[t]
         dirty = False
         for i in range(t + 1, nrows):
             if a[i][t]:
-                q, r = pdivmod(a[i][t], a[t][t])
-                add_row(t, i, q)
+                q, r = pdivmod(a[i][t], pivot)
+                a[i] = [x ^ pmul(y, q) if y else x for x, y in zip(a[i], top)]
+                left_moves.append((t, i, q))
                 dirty = dirty or r != 0
+        quotients = []
         for j in range(t + 1, ncols):
-            if a[t][j]:
-                q, r = pdivmod(a[t][j], a[t][t])
-                add_col(t, j, q)
+            if top[j]:
+                q, r = pdivmod(top[j], pivot)
+                quotients.append((j, q))
+                right_moves.append((t, j, q))
                 dirty = dirty or r != 0
+        for row in a:
+            e = row[t]
+            if e:
+                for j, q in quotients:
+                    row[j] ^= pmul(e, q)
         if dirty:
             continue
         # Pivot must divide the whole remaining block; if not, fold the
         # offending row in, which leaves a remainder for the next pass.
-        offender = None
         for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] and pmod(a[i][j], a[t][t]):
-                    offender = i
-                    break
-            if offender is not None:
+            if any(e and pmod(e, pivot) for e in a[i][t + 1:]):
+                a[t] = [x ^ y for x, y in zip(top, a[i])]
+                left_moves.append((i, t, 1))
                 break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        t += 1
+        else:
+            t += 1
 
     return (
-        PolyMatrix(tuple(tuple(r) for r in left)),
-        PolyMatrix(tuple(tuple(r) for r in a)),
-        PolyMatrix(tuple(tuple(r) for r in right)),
+        _Replayed(nrows, left_moves, transpose=True),
+        PolyMatrix(tuple(map(tuple, a))),
+        _Replayed(ncols, right_moves, transpose=False),
     )

@@ -40,6 +40,10 @@ def parse_sequence(text: str) -> SignSequence | ExtendedSignSequence:
     return ExtendedSignSequence(head[0], SignSequence(_parse_entries(parts[1])), tail[0])
 
 
+# How much of a bad token an error message echoes.
+_ECHOED = 20
+
+
 def _parse_entries(text: str) -> tuple[int, ...]:
     entries = []
     for position, token in enumerate(text.split(","), start=1):
@@ -47,9 +51,10 @@ def _parse_entries(text: str) -> tuple[int, ...]:
         try:
             value = int(token)
         except ValueError:
-            raise SequenceParseError(
-                f"entry {position}: {token!r} is not an integer"
-            ) from None
+            shown = repr(token)
+            if len(token) > _ECHOED:
+                shown = f"{token[:_ECHOED]!r}... ({len(token)} characters)"
+            raise SequenceParseError(f"entry {position}: {shown} is not an integer") from None
         if value == 0:
             raise SequenceParseError(f"entry {position}: zero entries are not allowed")
         entries.append(value)
@@ -201,11 +206,15 @@ def parse_document(doc: Any) -> BasedComplex:
 
 
 def parse(text: str) -> BasedComplex:
-    # ValueError also covers integers past Python's digit limit.
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # An integer past the interpreter's digit limit. Its message names
+        # the limit and the digit count, then advises a call to
+        # sys.set_int_max_str_digits(), which only Python code can make.
+        raise DocumentError(f"not valid JSON: {str(exc).partition(';')[0]}") from None
     return parse_document(doc)
 
 

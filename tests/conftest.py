@@ -445,6 +445,18 @@ def pdet(m: PolyMatrix) -> Poly:
     return a[n - 1][n - 1]
 
 
+def criterion_9_matrices() -> list[tuple[tuple[int, ...], ...]]:
+    """The 500 matrices of acceptance criterion 9, as tuples of rows."""
+    rng = random.Random(90125)
+    matrices = []
+    for _ in range(500):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        matrices.append(
+            tuple(tuple(rng.randrange(16) for _ in range(ncols)) for _ in range(nrows))
+        )
+    return matrices
+
+
 def eliminated_reports(complex: BasedComplex) -> tuple[HomologyReport, ...]:
     """The U-killed and V-killed reports of check_correct_homology, with
     every block of ``quotient_complex(...).boundaries`` eliminated by
@@ -698,6 +710,92 @@ def reference_isomorphism(
         if {Arrow(image[s], m, image[t]) for s, m, t in first.arrows} == second.arrows:
             return image
     return None
+
+
+def reference_smith_normal_form(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """``f2poly.smith_normal_form`` as it was before it logged its moves:
+    every move updates a transform beside the block. Same pivot rule, so
+    the same (left, diag, right), with m = left @ diag @ right."""
+    nrows, ncols = m.nrows, m.ncols
+    a = [list(r) for r in m.rows]
+    left = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    right = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    # Elementary moves keep the invariant m = left @ a @ right. Over F2 both
+    # swaps and additions are their own inverses, so applying the same move
+    # to the transform suffices.
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(nrows):  # left @ swap: exchange columns i, j
+            left[r][i], left[r][j] = left[r][j], left[r][i]
+
+    def swap_cols(i, j):
+        for r in range(nrows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        right[i], right[j] = right[j], right[i]
+
+    def add_row(src, dst, q):  # row dst += q * row src
+        for c in range(ncols):
+            a[dst][c] ^= pmul(q, a[src][c])
+        for r in range(nrows):  # left: column src += q * column dst
+            left[r][src] ^= pmul(q, left[r][dst])
+
+    def add_col(src, dst, q):  # col dst += q * col src
+        for r in range(nrows):
+            a[r][dst] ^= pmul(q, a[r][src])
+        for c in range(ncols):  # right: row src += q * row dst
+            right[src][c] ^= pmul(q, right[dst][c])
+
+    def smallest_nonzero(t):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] and (best is None or pdeg(a[i][j]) < pdeg(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nrows, ncols):
+        pos = smallest_nonzero(t)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        # Clear the pivot's row and column; a nonzero remainder has smaller
+        # degree than the pivot, so re-pick the minimum instead.
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q, r = pdivmod(a[i][t], a[t][t])
+                add_row(t, i, q)
+                dirty = dirty or r != 0
+        for j in range(t + 1, ncols):
+            if a[t][j]:
+                q, r = pdivmod(a[t][j], a[t][t])
+                add_col(t, j, q)
+                dirty = dirty or r != 0
+        if dirty:
+            continue
+        # Pivot must divide the whole remaining block; if not, fold the
+        # offending row in, which leaves a remainder for the next pass.
+        offender = None
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if a[i][j] and pmod(a[i][j], a[t][t]):
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+        t += 1
+
+    return (
+        PolyMatrix(tuple(tuple(r) for r in left)),
+        PolyMatrix(tuple(tuple(r) for r in a)),
+        PolyMatrix(tuple(tuple(r) for r in right)),
+    )
 
 
 def signature_rounds(links, n, colour):

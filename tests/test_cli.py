@@ -69,6 +69,13 @@ class TestDecide:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("token", ["9" * 5000, "x" + "9" * 3000])
+    def test_long_token_gives_one_short_error_line(self, capsys, token):
+        code, out, err = run(capsys, "decide", "-s", f"1,{token}")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: entry 2: ")
+        assert len(err.encode()) < 200, err
+
 
 class TestRealizeVerifyRender:
     def test_full_flow(self, capsys, tmp_path):

@@ -4,8 +4,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from tunnelfill import f2poly
 from tunnelfill.f2poly import PolyMatrix, pdeg, pdivmod, pmul, rank, smith_normal_form
-from conftest import is_diagonal_matrix, pdet, pdivides, product
+from conftest import (
+    criterion_9_matrices,
+    is_diagonal_matrix,
+    pdet,
+    pdivides,
+    product,
+    reference_smith_normal_form,
+)
 
 T = 0b10  # the variable t
 
@@ -130,3 +138,82 @@ class TestSnfDiagonal:
         m = matrix(rows)
         assert read_off(m) == expected
         assert smith_normal_form(m)[1].diagonal() == expected
+
+
+def assert_matches_reference(m: PolyMatrix):
+    got = smith_normal_form(m)
+    expected = reference_smith_normal_form(m)
+    assert [x.rows for x in got] == [x.rows for x in expected], m
+
+
+class TestAgainstReference:
+    """The move-log elimination against the transform-tracking one it
+    replaced (``conftest.reference_smith_normal_form``): the same left, diag
+    and right, entry for entry."""
+
+    def test_criterion_9_corpus(self):
+        for rows in criterion_9_matrices():
+            assert_matches_reference(PolyMatrix(rows))
+
+    def test_criterion_9_corpus_times_t(self):
+        # The blocks of the verify-docs documents.
+        for rows in criterion_9_matrices():
+            assert_matches_reference(
+                PolyMatrix(tuple(tuple(pmul(e, T) for e in row) for row in rows))
+            )
+
+    @pytest.mark.parametrize("rows", [(), ((),), ((), ())])
+    def test_matrices_without_entries(self, rows):
+        assert_matches_reference(PolyMatrix(rows))
+
+    @given(matrices)
+    def test_drawn_matrices(self, m):
+        assert_matches_reference(m)
+
+    def test_larger_seeded_matrices(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+            assert_matches_reference(
+                PolyMatrix(
+                    tuple(tuple(rng.randrange(256) for _ in range(nc)) for _ in range(nr))
+                )
+            )
+
+
+class TestTransformsBuiltOnRead:
+    """smith_normal_form builds a transform from its move log when its rows
+    are first read, and only then."""
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        calls = []
+        original = f2poly._replay
+
+        def counting(size, moves):
+            calls.append(size)
+            return original(size, moves)
+
+        monkeypatch.setattr(f2poly, "_replay", counting)
+        return calls
+
+    M = PolyMatrix(((T, pmul(T, T)), (0b11, T)))
+
+    def test_diagonal_alone_replays_nothing(self, replays):
+        assert smith_normal_form(self.M)[1].diagonal() == (1, pmul(T, pmul(T, T)))
+        assert replays == []
+
+    def test_a_second_read_does_not_replay(self, replays):
+        left, _, right = smith_normal_form(self.M)
+        first = left.rows
+        assert left.rows is first
+        assert right.rows == right.rows
+        assert replays == [2, 2]
+
+    def test_a_transform_equals_a_plain_matrix_with_its_rows(self):
+        left, diag, right = smith_normal_form(self.M)
+        plain = PolyMatrix(left.rows)
+        assert left == plain and plain == left
+        assert hash(left) == hash(plain)
+        assert left != PolyMatrix(((1, 0), (0, 1)))
+        assert right != diag

@@ -24,7 +24,7 @@ from tunnelfill import (
     parse,
     realize,
 )
-from tunnelfill import homology
+from tunnelfill import f2poly, homology
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import (
     ELIMINATION_DEGREE_BOUND,
@@ -35,6 +35,7 @@ from tunnelfill.homology import (
 from tunnelfill.rings import R1, RINF, Arrow, make_complex
 from conftest import (
     conjugate,
+    criterion_9_matrices,
     disjoint_union,
     eliminated_reports,
     is_based_isomorphism,
@@ -346,10 +347,7 @@ class TestAgainstReference:
         assert symmetric == 258
 
     def test_criterion_9_documents(self):
-        rng = random.Random(90125)
-        for _ in range(500):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            matrix = [[rng.randrange(16) for _ in range(ncols)] for _ in range(nrows)]
+        for matrix in criterion_9_matrices():
             c = parse(dense_document(matrix))
             assert check_symmetry(c) == reference_isomorphism(c, conjugate(c)), matrix
 
@@ -484,6 +482,15 @@ class TestSnfTraffic:
             check_correct_homology(parse(elimination_probe(10**6)))
         assert len(snf_calls) == 1
 
+    def test_criterion_9_documents_build_no_transform(self, snf_calls, monkeypatch):
+        def refuse(size, moves):
+            raise AssertionError("homology read a transform of smith_normal_form")
+
+        monkeypatch.setattr(f2poly, "_replay", refuse)
+        for matrix in criterion_9_matrices():
+            check_correct_homology(parse(dense_document(matrix)))
+        assert len(snf_calls) > 400
+
 
 T = 0b10  # the variable t
 
@@ -520,10 +527,7 @@ class TestReadOff:
         assert snf_calls == []
 
     def test_criterion_9_documents(self):
-        rng = random.Random(90125)
-        for _ in range(500):
-            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-            matrix = [[rng.randrange(16) for _ in range(ncols)] for _ in range(nrows)]
+        for matrix in criterion_9_matrices():
             complex = parse(dense_document(matrix))
             assert check_correct_homology(complex) == eliminated_reports(complex)
 

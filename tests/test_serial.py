@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -59,6 +60,18 @@ class TestParseSequence:
 
     def test_non_integer_reports_position(self):
         with pytest.raises(SequenceParseError, match="entry 3"):
+            parse_sequence("1,2,x,1")
+
+    @pytest.mark.parametrize("token", ["9" * 5000, "x" + "9" * 3000])
+    def test_long_token_is_echoed_cut_short(self, token):
+        with pytest.raises(SequenceParseError) as raised:
+            parse_sequence(f"1,{token}")
+        assert str(raised.value) == (
+            f"entry 2: {token[:20]!r}... ({len(token)} characters) is not an integer"
+        )
+
+    def test_short_token_is_echoed_whole(self):
+        with pytest.raises(SequenceParseError, match=r"^entry 3: 'x' is not an integer$"):
             parse_sequence("1,2,x,1")
 
     def test_odd_length_rejected(self):
@@ -461,8 +474,12 @@ class TestUnreadableJson:
             parse(UNREADABLE_DOCUMENTS["too_deep"].decode())
 
     def test_integer_past_the_digit_limit(self):
-        with pytest.raises(DocumentError, match="digits"):
+        with pytest.raises(DocumentError, match="digits") as raised:
             parse(UNREADABLE_DOCUMENTS["long_integer"].decode())
+        message = str(raised.value)
+        assert f"({sys.get_int_max_str_digits()} digits)" in message
+        assert "has 5000 digits" in message
+        assert "set_int_max_str_digits" not in message and ";" not in message
 
     @given(json_values() | near_documents())
     def test_any_json_value_parses_or_raises_a_typed_error(self, value):
