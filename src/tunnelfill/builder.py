@@ -168,38 +168,40 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     new_id = {old: new for new, old in enumerate(keep)}
     new_id[x_first] = new_id[x_last] = z_id
 
-    def monomial(source: int, target: int) -> Monomial:
-        (sc, sr), (tc, tr) = place[source], place[target]
-        du, dv = sc - tc, sr - tr
-        if du < 0 or dv < 0 or (du == 0 and dv == 0):
-            raise PlacementError(
-                f"placement forces exponents ({du}, {dv}); the extensions are too short"
-            )
-        return Monomial(du, dv)
-
     # When the offset is zero and one source reaches both endpoints, its two
     # z-arrows coincide and cancel; that is honest F2 arithmetic and the
     # chain and degree checks below still have to pass.
     new_arrows: list[Arrow] = []
     new_colors: dict[Arrow, str] = {}
+    colors = complex.colors
     for a in sorted(complex.arrows):
-        if a.source in (x_first, x_last):
+        source, _, target = a
+        if source == x_first or source == x_last:
             raise InternalError(f"unexpected arrow out of a dropped endpoint: {a}")
-        arrow = Arrow(new_id[a.source], monomial(a.source, a.target), new_id[a.target])
+        (sc, sr), (tc, tr) = place[source], place[target]
+        du, dv = sc - tc, sr - tr
+        if du < 0 or dv < 0 or not (du or dv):
+            raise PlacementError(
+                f"placement forces exponents ({du}, {dv}); the extensions are too short"
+            )
+        arrow = Arrow(new_id[source], Monomial.of(du, dv), new_id[target])
         new_arrows.append(arrow)
-        new_colors[arrow] = complex.colors.get(a) or BLACK
+        new_colors[arrow] = colors.get(a) or BLACK
+
+    generators = complex.generators
 
     def forced_grading(source: int, target: int) -> Grading:
-        g, mono = complex.grading(source), monomial(source, target)
-        return Grading(g.gu + 2 * mono.u - 1, g.gv + 2 * mono.v - 1)
+        # An arrow of the complex, whose exponents the loop has checked.
+        g, (sc, sr), (tc, tr) = generators[source].grading, place[source], place[target]
+        return Grading(g.gu + 2 * (sc - tc) - 1, g.gv + 2 * (sr - tr) - 1)
 
     # Kept generators keep their gradings; the moved pair and z take the
     # ones the degree equation forces along y0 -> y_-1, y_2n -> y_2n+1 and
     # x_2n -> x_2n+1.
-    grading = {g: complex.grading(g) for g in keep}
+    grading = {g: generators[g].grading for g in keep}
     grading[y_first] = forced_grading(y0, y_first)
     grading[y_last] = forced_grading(y_top, y_last)
-    gens = [Generator(new_id[g], complex.generator(g).name, grading[g]) for g in keep]
+    gens = [Generator(new_id[g], generators[g].name, grading[g]) for g in keep]
     gens.append(Generator(z_id, "z", forced_grading(x_top, x_last)))
 
     glued = make_complex(RINF, gens, new_arrows, new_colors)

@@ -176,10 +176,14 @@ def _read_document(path: str):
 
 
 def _verify(args) -> int:
-    wanted = [c.strip() for c in args.check.split(",") if c.strip()]
+    # Each named check runs once, in the order first given.
+    wanted = list(dict.fromkeys(c.strip() for c in args.check.split(",") if c.strip()))
     unknown = [c for c in wanted if c not in ALL_CHECKS]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if not wanted:
+        print("error: no checks given", file=sys.stderr)
         return 2
     complex = _read_document(args.file)
 

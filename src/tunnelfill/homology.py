@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import ConstructionError, SearchBudgetError
 from .f2poly import PolyMatrix, pdeg, smith_normal_form
-from .rings import BasedComplex, Generator
+from .rings import BasedComplex
 
 # How many individualizations find_based_isomorphism may make before it
 # gives up; each one copies the partition and refines it from the new
@@ -84,33 +84,32 @@ def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
     if kill not in ("U", "V"):
         raise ConstructionError(f"kill must be 'U' or 'V', not {kill!r}")
 
-    def degree(g: Generator) -> int:
-        return g.grading.gu if kill == "U" else g.grading.gv
-
+    side = 0 if kill == "U" else 1  # the killed exponent's index in (u, v)
+    degree = [g.grading.gv if side else g.grading.gu for g in complex.generators]
+    count = len(degree)
     buckets: dict[int, list[int]] = {}
-    for g in complex.generators:
-        buckets.setdefault(degree(g), []).append(g.gid)
+    column = []  # each gid's position in its bucket
+    for gid, k in enumerate(degree):
+        ids = buckets.setdefault(k, [])
+        column.append(len(ids))
+        ids.append(gid)
     degrees = tuple(sorted(buckets))
     gens = {k: tuple(v) for k, v in buckets.items()}
-    index = {
-        gid: (k, i) for k, ids in gens.items() for i, gid in enumerate(ids)
-    }
 
     blocks: dict[int, list[tuple[int, int, int]]] = {k: [] for k in degrees}
     for a in complex.arrows:
-        m = a.monomial
-        survives = m.u == 0 if kill == "U" else m.v == 0
-        if not survives:
+        s, m, t = a
+        if m[side]:
             continue
-        power = m.v if kill == "U" else m.u
-        k, col = index[a.source]
-        k_target, row = index[a.target]
-        if k_target != k - 1:
+        if not (0 <= s < count and 0 <= t < count):
+            complex.generator(s), complex.generator(t)  # raises for the unknown id
+        k = degree[s]
+        if degree[t] != k - 1:
             raise ConstructionError(
                 f"arrow {a} does not lower the preserved grading by one; "
                 "run the degree check first"
             )
-        blocks[k].append((row, col, power))
+        blocks[k].append((column[t], column[s], m[1 - side]))
 
     arrows = {k: tuple(block) for k, block in blocks.items()}
     return QuotientChain(kill, degrees, gens, arrows)
@@ -121,12 +120,13 @@ def homology_report(chain: QuotientChain) -> HomologyReport:
     torsion: dict[int, tuple[int, ...]] = {}
     for k in chain.degrees:
         block = chain.arrows[k]
-        powers = [power for _, _, power in block]
-        rows = {row for row, _, _ in block}
-        columns = {column for _, column, _ in block}
+        if not block:
+            ranks[k] = 0
+            continue
+        rows, columns, powers = zip(*block)
         # With no two arrows at one end the block is its own Smith form, so
         # its invariant factors are t^power for each arrow; else eliminate.
-        if not len(rows) == len(columns) == len(block):
+        if not len(set(rows)) == len(set(columns)) == len(block):
             degree = max(powers)
             if degree > ELIMINATION_DEGREE_BOUND:
                 raise SearchBudgetError(
@@ -136,7 +136,7 @@ def homology_report(chain: QuotientChain) -> HomologyReport:
             diagonal = smith_normal_form(chain.boundary(k))[1].diagonal()
             powers = [pdeg(d) for d in diagonal if d]
         ranks[k] = len(powers)
-        orders = tuple(sorted(p for p in powers if p > 0))
+        orders = tuple(sorted(filter(None, powers)))  # the powers over 0
         if orders:
             # Nontrivial invariant factors of the incoming boundary are the
             # torsion of the homology one degree down.
@@ -213,8 +213,14 @@ def _gradings(complex: BasedComplex) -> list[tuple[int, int]]:
 
 
 def _arrows(complex: BasedComplex) -> list[tuple[int, int, int, int]]:
-    """The arrows as (source, u, v, target)."""
-    return [(s, m.u, m.v, t) for s, m, t in complex.arrows]
+    """The arrows as (source, u, v, target); UnknownGeneratorError at an
+    end that is no generator id."""
+    count = len(complex.generators)
+    arrows = [(s, u, v, t) for s, (u, v), t in complex.arrows]
+    for s, _, _, t in arrows:
+        if not (0 <= s < count and 0 <= t < count):
+            complex.generator(s), complex.generator(t)  # raises for the unknown id
+    return arrows
 
 
 def _isomorphism(gradings1, arrows1, gradings2, arrows2):

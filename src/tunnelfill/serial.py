@@ -160,12 +160,13 @@ def parse_document(doc: Any) -> BasedComplex:
         ids[name] = i
         generators.append(Generator(i, name, Grading(gr[0], gr[1])))
 
+    level = ring.level
     arrows: set[Arrow] = set()
     colors: dict[Arrow, str] = {}
     loop = None
     for i, entry in enumerate(_as_list(doc["arrows"], "arrows")):
         if not isinstance(entry, dict) or (
-            entry.keys() != _ARROW_FIELDS and entry.keys() != _COLORED_ARROW_FIELDS
+            (keys := entry.keys()) != _ARROW_FIELDS and keys != _COLORED_ARROW_FIELDS
         ):
             raise _fields_error(entry, _ARROW_FIELDS, f"arrow {i}", {"color"})
         u = entry["u"]
@@ -184,10 +185,11 @@ def parse_document(doc: Any) -> BasedComplex:
             raise DocumentError(f"arrow {i}: unknown generator {entry['to']!r}") from None
         if not u and not v:
             raise DocumentError(f"arrow {i}: the unit monomial is not a legal arrow")
-        mono = Monomial(u, v)
-        if mono.is_zero_in(ring):
-            raise DocumentError(f"arrow {i}: monomial {mono} is zero in {doc['ring']}")
-        arrow = Arrow(source, mono, target)
+        if level is not None and u >= level and v >= level:
+            raise DocumentError(
+                f"arrow {i}: monomial {Monomial(u, v)} is zero in {doc['ring']}"
+            )
+        arrow = Arrow(source, Monomial(u, v), target)
         if arrow in arrows:
             raise DocumentError(f"arrow {i}: duplicate of an earlier arrow")
         arrows.add(arrow)

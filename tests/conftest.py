@@ -30,10 +30,12 @@ from tunnelfill import (
     TunnelFillError,
     UnknownGeneratorError,
     build_standard,
+    realize,
 )
+from tunnelfill.census import census_sequences
 from tunnelfill.f2poly import Poly, PolyMatrix, pdeg, pdivmod, pmod, pmul
 from tunnelfill.filler import DecisionOutcome, forced_response, partial_realize
-from tunnelfill.homology import HomologyReport, quotient_complex
+from tunnelfill.homology import HomologyReport, QuotientChain, quotient_complex
 from tunnelfill.rings import (
     R1,
     R2,
@@ -486,6 +488,29 @@ def eliminated_reports(complex: BasedComplex) -> tuple[HomologyReport, ...]:
     return tuple(reports)
 
 
+@functools.cache
+def census_realizations():
+    """The realizations of the n <= 2, |a| <= 3 census's realizable rows."""
+    realized = (realize(seq) for seq in census_sequences(2, 3))
+    return tuple(glued for glued in realized if isinstance(glued, BasedComplex))
+
+
+def dense_document(matrix) -> str:
+    """A document whose C/U quotient is the single block t*matrix: entry
+    (i, j) = t*p(t) becomes one arrow c_j -> V^v r_i per term t^v, so an
+    entry that is not a power of t becomes several arrows at one end."""
+    generators = [{"name": f"r{i}", "gr": [0, 1]} for i in range(len(matrix))]
+    generators += [{"name": f"c{j}", "gr": [1, 0]} for j in range(len(matrix[0]))]
+    arrows = [
+        {"from": f"c{j}", "to": f"r{i}", "u": 0, "v": v}
+        for i, row in enumerate(matrix)
+        for j, entry in enumerate(row)
+        for v in range(1, entry.bit_length() + 1)
+        if (entry << 1) >> v & 1
+    ]
+    return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
+
+
 def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str, Any]:
     """The plain-JSON shape of a complex; colors only when requested."""
     if complex.ring not in RING_NAMES:
@@ -819,3 +844,87 @@ def signature_rounds(links, n, colour):
         if len(names) == count:
             return colour
         count = len(names)
+
+
+# The references for the arrow loops of rings.make_complex,
+# rings.degree_violations and homology.quotient_complex: the versions they
+# replaced, which read each arrow through its attributes and each grading
+# through BasedComplex.grading, copied with their bodies unchanged.
+def reference_make_complex(ring, generators, arrows, colors=None) -> BasedComplex:
+    gens = tuple(generators)
+    names = set()
+    for i, g in enumerate(gens):
+        if g.gid != i:
+            raise ConstructionError(
+                f"generator id {g.gid} at position {i}; ids must be positional"
+            )
+        if g.name in names:
+            raise ConstructionError(f"duplicate generator name {g.name!r}")
+        names.add(g.name)
+
+    counts: dict[Arrow, int] = {}
+    for a in arrows:
+        if not 0 <= a.source < len(gens) or not 0 <= a.target < len(gens):
+            raise ConstructionError(f"arrow {a} references an unknown generator")
+        if a.source == a.target:
+            raise ConstructionError(f"arrow {a} is a self-loop")
+        if a.monomial.u == 0 and a.monomial.v == 0:
+            raise ConstructionError(f"arrow {a} carries the unit monomial")
+        if a.monomial.is_zero_in(ring):
+            continue
+        counts[a] = counts.get(a, 0) ^ 1
+    kept = frozenset(a for a, c in counts.items() if c)
+
+    kept_colors = {a: c for a, c in (colors or {}).items() if a in kept}
+    return BasedComplex(ring, gens, kept, kept_colors)
+
+
+def reference_arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:
+    # Degree equation for d of degree (-1,-1):
+    #   gr(target) - 2*(u, v) == gr(source) + (-1, -1), componentwise.
+    gs = complex.grading(arrow.source)
+    gt = complex.grading(arrow.target)
+    m = arrow.monomial
+    return gt.gu - 2 * m.u == gs.gu - 1 and gt.gv - 2 * m.v == gs.gv - 1
+
+
+def reference_degree_violations(complex: BasedComplex) -> list[Arrow]:
+    return sorted(a for a in complex.arrows if not reference_arrow_degree_ok(complex, a))
+
+
+def reference_quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
+    """As ``homology.quotient_complex``, except that an arrow end that is no
+    generator id raises a bare KeyError naming it."""
+    if kill not in ("U", "V"):
+        raise ConstructionError(f"kill must be 'U' or 'V', not {kill!r}")
+
+    def degree(g: Generator) -> int:
+        return g.grading.gu if kill == "U" else g.grading.gv
+
+    buckets: dict[int, list[int]] = {}
+    for g in complex.generators:
+        buckets.setdefault(degree(g), []).append(g.gid)
+    degrees = tuple(sorted(buckets))
+    gens = {k: tuple(v) for k, v in buckets.items()}
+    index = {
+        gid: (k, i) for k, ids in gens.items() for i, gid in enumerate(ids)
+    }
+
+    blocks: dict[int, list[tuple[int, int, int]]] = {k: [] for k in degrees}
+    for a in complex.arrows:
+        m = a.monomial
+        survives = m.u == 0 if kill == "U" else m.v == 0
+        if not survives:
+            continue
+        power = m.v if kill == "U" else m.u
+        k, col = index[a.source]
+        k_target, row = index[a.target]
+        if k_target != k - 1:
+            raise ConstructionError(
+                f"arrow {a} does not lower the preserved grading by one; "
+                "run the degree check first"
+            )
+        blocks[k].append((row, col, power))
+
+    arrows = {k: tuple(block) for k, block in blocks.items()}
+    return QuotientChain(kill, degrees, gens, arrows)

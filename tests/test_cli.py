@@ -207,6 +207,20 @@ class TestRealizeVerifyRender:
         assert code == 2
         assert "unknown checks" in err
 
+    @pytest.mark.parametrize("checks", ["", ",", " , ,"])
+    def test_empty_check_list_rejected(self, capsys, tmp_path, checks):
+        doc = tmp_path / "g.json"
+        run(capsys, "realize", "-s", "2,2", "-o", str(doc))
+        code, out, err = run(capsys, "verify", str(doc), "--check", checks)
+        assert (code, out, err) == (2, "", "error: no checks given\n")
+
+    def test_repeated_check_runs_once(self, capsys, tmp_path):
+        doc = tmp_path / "g.json"
+        run(capsys, "realize", "-s", "2,2", "-o", str(doc))
+        code, out, err = run(capsys, "verify", str(doc), "--check", "degree,d2, degree,d2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["degree: PASS", "d2: PASS", "2/2 checks passed"]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/does/not/exist.json")
         assert code == 1

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import random
@@ -34,8 +33,10 @@ from tunnelfill.homology import (
 )
 from tunnelfill.rings import R1, RINF, Arrow, make_complex
 from conftest import (
+    census_realizations,
     conjugate,
     criterion_9_matrices,
+    dense_document,
     disjoint_union,
     eliminated_reports,
     is_based_isomorphism,
@@ -326,13 +327,6 @@ def cells_of(colour):
     return sorted(cells.values())
 
 
-@functools.cache
-def census_realizations():
-    """The realizations of the n <= 2, |a| <= 3 census's realizable rows."""
-    realized = (realize(seq) for seq in census_sequences(2, 3))
-    return tuple(glued for glued in realized if isinstance(glued, BasedComplex))
-
-
 class TestAgainstReference:
     """The worklist search against the signature-round search it replaced
     (``conftest.reference_isomorphism``): the same verdict and witness."""
@@ -421,22 +415,6 @@ class TestRealizationHomology:
     def test_glued_output_passes(self):
         glued = realize(SignSequence((2, 2)))
         assert has_correct_homology(glued)
-
-
-def dense_document(matrix) -> str:
-    """A document whose C/U quotient is the single block t*matrix: entry
-    (i, j) = t*p(t) becomes one arrow c_j -> V^v r_i per term t^v, so an
-    entry that is not a power of t becomes several arrows at one end."""
-    generators = [{"name": f"r{i}", "gr": [0, 1]} for i in range(len(matrix))]
-    generators += [{"name": f"c{j}", "gr": [1, 0]} for j in range(len(matrix[0]))]
-    arrows = [
-        {"from": f"c{j}", "to": f"r{i}", "u": 0, "v": v}
-        for i, row in enumerate(matrix)
-        for j, entry in enumerate(row)
-        for v in range(1, entry.bit_length() + 1)
-        if (entry << 1) >> v & 1
-    ]
-    return json.dumps({"ring": "Rinf", "generators": generators, "arrows": arrows})
 
 
 def elimination_probe(n: int) -> str:

@@ -421,6 +421,27 @@ MALFORMED = {
     "self_loop_twice": (
         _mutated(_both(_arrow(0, to="x1"), lambda d: d["arrows"].append(dict(d["arrows"][0])))),
         DocumentError, "arrow 2: duplicate of an earlier arrow"),
+    # Entries with several faults: each check's place in the order is pinned.
+    "bad_u_and_unknown_from": (_mutated(_arrow(0, u=-1, **{"from": "ghost"})), DocumentError,
+        "arrow 0: u must be a nonnegative integer"),
+    "bad_v_and_unknown_to": (_mutated(_arrow(1, v="2", to="ghost")), DocumentError,
+        "arrow 1: v must be a nonnegative integer"),
+    "unknown_from_and_to": (_mutated(_arrow(0, to="ghost", **{"from": "spook"})),
+        DocumentError, "arrow 0: unknown generator 'spook'"),
+    "unknown_to_and_unit": (_mutated(_arrow(0, u=0, v=0, to="ghost")), DocumentError,
+        "arrow 0: unknown generator 'ghost'"),
+    "unknown_field_and_bad_v": (_mutated(_both(_set(["arrows", 0, "weight"], 1),
+        _arrow(0, v=-1))), DocumentError, "arrow 0 has unknown fields ['weight']"),
+    "dead_then_duplicate": (
+        _mutated(_both(_arrow(1, u=1, v=1), lambda d: d["arrows"].append(dict(d["arrows"][0])))),
+        DocumentError, "arrow 1: monomial U^1V^1 is zero in R1"),
+    "duplicate_then_dead": (
+        _mutated(lambda d: d["arrows"].extend(
+            [dict(d["arrows"][0]), {"from": "x2", "to": "x0", "u": 2, "v": 1}])),
+        DocumentError, "arrow 2: duplicate of an earlier arrow"),
+    "dead_duplicate": (
+        _mutated(_both(_arrow(0, u=1, v=1), lambda d: d["arrows"].append(dict(d["arrows"][0])))),
+        DocumentError, "arrow 0: monomial U^1V^1 is zero in R1"),
 }
 
 
