@@ -118,11 +118,7 @@ def double(lifted: BasedComplex) -> BasedComplex:
         colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
     y_gens = tuple(
-        Generator(
-            count + g.gid,
-            "y" + g.name.removeprefix("x"),
-            g.grading.shifted(-1, -1),
-        )
+        Generator("y" + g.name.removeprefix("x"), g.grading.shifted(-1, -1))
         for g in lifted.generators
     )
 
@@ -164,9 +160,8 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     place[x_first], place[x_last] = head, tail
 
     keep = [*range(1, count - 1), *range(count, 2 * count)]
-    z_id = len(keep)
     new_id = {old: new for new, old in enumerate(keep)}
-    new_id[x_first] = new_id[x_last] = z_id
+    new_id[x_first] = new_id[x_last] = len(keep)  # z
 
     # When the offset is zero and one source reaches both endpoints, its two
     # z-arrows coincide and cancel; that is honest F2 arithmetic and the
@@ -201,8 +196,8 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     grading = {g: generators[g].grading for g in keep}
     grading[y_first] = forced_grading(y0, y_first)
     grading[y_last] = forced_grading(y_top, y_last)
-    gens = [Generator(new_id[g], generators[g].name, grading[g]) for g in keep]
-    gens.append(Generator(z_id, "z", forced_grading(x_top, x_last)))
+    gens = [Generator(generators[g].name, grading[g]) for g in keep]
+    gens.append(Generator("z", forced_grading(x_top, x_last)))
 
     glued = make_complex(RINF, gens, new_arrows, new_colors)
     bad = degree_violations(glued)

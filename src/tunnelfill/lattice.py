@@ -26,15 +26,20 @@ def lattice_positions(complex: BasedComplex) -> dict[int, Position]:
     """Assign each generator a grid position via pos(target) = pos(source) - (u, v),
     with the first generator at the origin.
 
-    Raises RenderError if the arrow graph is disconnected, or if traversal
+    Raises UnknownGeneratorError for an arrow end that is no generator id,
+    and RenderError if the arrow graph is disconnected, or if traversal
     paths disagree on a position by more than a diagonal shift.
     """
-    if not complex.generators:
-        return {}
-    pos: dict[int, Position] = {complex.generators[0].gid: (0, 0)}
     out = complex.outgoing
     inc = complex.incoming
-    queue = deque([complex.generators[0].gid])
+    # Every arrow end is a key of one index, so their extremes bound the ids.
+    for index in (out, inc):
+        if index:
+            complex.generator(min(index)), complex.generator(max(index))
+    if not complex.generators:
+        return {}
+    pos: dict[int, Position] = {0: (0, 0)}
+    queue = deque([0])
     while queue:
         g = queue.popleft()
         x, y = pos[g]
@@ -58,6 +63,6 @@ def lattice_positions(complex: BasedComplex) -> dict[int, Position]:
                 pos[gid] = p
                 queue.append(gid)
     if len(pos) != len(complex.generators):
-        missing = [g.name for g in complex.generators if g.gid not in pos]
+        missing = [g.name for gid, g in enumerate(complex.generators) if gid not in pos]
         raise RenderError(f"arrow graph is disconnected; unreachable: {missing}")
     return pos

@@ -27,29 +27,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Arrow, BasedComplex, Generator, Monomial, Term, differential_square
+from .rings import Arrow, BasedComplex, Monomial, Term, differential_square
 
 
 def candidate_arrows(complex: BasedComplex) -> tuple[Arrow, ...]:
     """Every absent diagonal arrow with a unit exponent that the degree
     equation permits, found in the two grading buckets described above."""
-    by_u: dict[int, list[Generator]] = {}
-    by_v: dict[int, list[Generator]] = {}
-    for g in complex.generators:
-        by_u.setdefault(g.grading.gu, []).append(g)
-        by_v.setdefault(g.grading.gv, []).append(g)
-    found = []
-    for x in complex.generators:
-        gu, gv = x.grading.gu, x.grading.gv
+    gens = complex.generators
+    by_u: dict[int, list[int]] = {}
+    by_v: dict[int, list[int]] = {}
+    for i, g in enumerate(gens):
+        by_u.setdefault(g.grading.gu, []).append(i)
+        by_v.setdefault(g.grading.gv, []).append(i)
+    found = set()
+    for x, g in enumerate(gens):
+        gu, gv = g.grading.gu, g.grading.gv
         for y in by_u.get(gu + 1, ()):
-            dv = y.grading.gv - gv
+            dv = gens[y].grading.gv - gv
             if dv > 0 and dv % 2:
-                found.append(Arrow(x.gid, Monomial.of(1, (dv + 1) // 2), y.gid))
+                found.add(Arrow(x, Monomial.of(1, (dv + 1) // 2), y))
         for y in by_v.get(gv + 1, ()):
-            du = y.grading.gu - gu
+            du = gens[y].grading.gu - gu
             if du >= 3 and du % 2:
-                found.append(Arrow(x.gid, Monomial.of((du + 1) // 2, 1), y.gid))
-    return tuple(sorted(a for a in found if a not in complex.arrows))
+                found.add(Arrow(x, Monomial.of((du + 1) // 2, 1), y))
+    return tuple(sorted(found.difference(complex.arrows)))
 
 
 @dataclass(frozen=True)

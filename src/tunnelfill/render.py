@@ -63,8 +63,8 @@ def render_svg(complex: BasedComplex, labels: bool = True) -> str:
     # Distinct generators can share a lattice point (the two copies sit one
     # diagonal step apart); nudge coincident dots slightly, figure-style.
     seen: dict[tuple[int, int], int] = {}
-    for g in complex.generators:
-        x, y = point(pos[g.gid])
+    for gid, g in enumerate(complex.generators):
+        x, y = point(pos[gid])
         nudge = seen.get((x, y), 0)
         seen[(x, y)] = nudge + 1
         x, y = x + 5 * nudge, y - 5 * nudge

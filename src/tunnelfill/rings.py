@@ -147,7 +147,6 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True, order=True, slots=True)
 class Generator:
-    gid: int
     name: str
     grading: Grading
 
@@ -236,15 +235,11 @@ def make_complex(
     """Assemble a complex, canonicalizing the arrow set.
 
     Arrows whose monomial vanishes at ``ring`` are dropped, and arrows listed
-    an even number of times cancel. Generator ids must equal their positions.
+    an even number of times cancel.
     """
     gens = tuple(generators)
     names = set()
-    for i, g in enumerate(gens):
-        if g.gid != i:
-            raise ConstructionError(
-                f"generator id {g.gid} at position {i}; ids must be positional"
-            )
+    for g in gens:
         if g.name in names:
             raise ConstructionError(f"duplicate generator name {g.name!r}")
         names.add(g.name)
@@ -302,21 +297,24 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
     """The terms (source, monomial, target) of d^2 that survive in the ring,
     each once and in sorted order.
 
-    The complex is a chain complex exactly when the result is empty.
+    The complex is a chain complex exactly when the result is empty. Raises
+    UnknownGeneratorError for an arrow end that is no generator id.
     """
     out = complex.outgoing
+    count = len(complex.generators)
     level = complex.ring.level
     terms: set[Term] = set()
-    for first in complex.arrows:
-        seconds = out.get(first.target)
+    for s, m1, t in complex.arrows:
+        if not (0 <= s < count and 0 <= t < count):
+            complex.generator(s), complex.generator(t)  # raises for the unknown id
+        seconds = out.get(t)
         if seconds is None:
             continue
-        m1 = first.monomial
         for second in seconds:
             m2 = second.monomial
             u, v = m1.u + m2.u, m1.v + m2.v
             if level is None or u < level or v < level:
-                terms ^= {(first.source, Monomial.of(u, v), second.target)}
+                terms ^= {(s, Monomial.of(u, v), second.target)}
     return tuple(sorted(terms))
 
 

@@ -158,7 +158,7 @@ def parse_document(doc: Any) -> BasedComplex:
         if not isinstance(gr, list) or len(gr) != 2 or not all(map(_is_count, gr)):
             raise DocumentError(f"generator {name!r}: gr must be a pair of integers")
         ids[name] = i
-        generators.append(Generator(i, name, Grading(gr[0], gr[1])))
+        generators.append(Generator(name, Grading(gr[0], gr[1])))
 
     level = ring.level
     arrows: set[Arrow] = set()

@@ -101,7 +101,7 @@ def _chain_step(first: int, i: int, a: int) -> tuple[Arrow, int, int]:
 # values are immutable.
 _STEPS = _Interned(_chain_step)
 _GENERATORS = _Interned(
-    lambda first, i, gu, gv: Generator(i, sys.intern(f"x{first + i}"), Grading(gu, gv))
+    lambda first, i, gu, gv: Generator(sys.intern(f"x{first + i}"), Grading(gu, gv))
 )
 
 

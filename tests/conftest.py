@@ -219,7 +219,7 @@ def reference_build_extended(ext: ExtendedSignSequence) -> BasedComplex:
 
     gradings = [g_head] + [body.grading(i) for i in range(two_n + 1)] + [g_tail]
     names = [f"x{k}" for k in range(-1, two_n + 2)]
-    gens = tuple(Generator(i, nm, gr) for i, (nm, gr) in enumerate(zip(names, gradings)))
+    gens = tuple(Generator(nm, gr) for nm, gr in zip(names, gradings))
     # Subscript k in -1..2n+1 lives at generator id k + 1, so the entry at
     # chain position p joins ids p and p + 1.
     arrows = [_chain_arrow(p, a, p, p + 1) for p, a in enumerate(ext.entries)]
@@ -229,9 +229,9 @@ def reference_build_extended(ext: ExtendedSignSequence) -> BasedComplex:
 
 
 def id_of(complex: BasedComplex, name: str) -> int:
-    for g in complex.generators:
+    for gid, g in enumerate(complex.generators):
         if g.name == name:
-            return g.gid
+            return gid
     raise UnknownGeneratorError(f"no generator named {name!r}")
 
 
@@ -339,7 +339,7 @@ def named_arrows(complex: BasedComplex) -> set[tuple[str, int, int, str]]:
 
 
 def undirected_components(complex: BasedComplex) -> list[set[int]]:
-    adjacency = {g.gid: set() for g in complex.generators}
+    adjacency = {gid: set() for gid in range(len(complex.generators))}
     for a in complex.arrows:
         adjacency[a.source].add(a.target)
         adjacency[a.target].add(a.source)
@@ -364,7 +364,7 @@ def subcomplex(complex: BasedComplex, ids) -> BasedComplex:
     ids = sorted(ids)
     remap = {old: i for i, old in enumerate(ids)}
     gens = tuple(
-        Generator(remap[g], complex.generator(g).name, complex.grading(g)) for g in ids
+        Generator(complex.generator(g).name, complex.grading(g)) for g in ids
     )
     arrows = [
         Arrow(remap[a.source], a.monomial, remap[a.target])
@@ -378,7 +378,7 @@ def disjoint_union(first: BasedComplex, second: BasedComplex) -> BasedComplex:
     assert first.ring == second.ring
     offset = len(first.generators)
     gens = list(first.generators) + [
-        Generator(offset + g.gid, f"b_{g.name}", g.grading) for g in second.generators
+        Generator(f"b_{g.name}", g.grading) for g in second.generators
     ]
     arrows = list(first.arrows) + [
         Arrow(offset + a.source, a.monomial, offset + a.target) for a in second.arrows
@@ -558,7 +558,7 @@ def layered_probe(h: int, seed: int) -> BasedComplex:
     rng = random.Random(seed)
     layers = [(0, 0), (3, 1), (1, 3), (4, 4)]
     gens = tuple(
-        Generator(i, f"g{i}", Grading(*layers[i // h])) for i in range(4 * h)
+        Generator(f"g{i}", Grading(*layers[i // h])) for i in range(4 * h)
     )
     blocks = [(0, 1, Monomial(2, 1)), (0, 2, Monomial(1, 2)),
               (1, 3, Monomial(1, 2)), (2, 3, Monomial(2, 1))]
@@ -579,7 +579,7 @@ def random_small_complex(rng: random.Random, count: int) -> BasedComplex:
     """``count`` generators on few gradings with arrows of few monomials, so
     that many generators look alike; no degree or d^2 condition."""
     gens = tuple(
-        Generator(i, f"g{i}", Grading(rng.randint(0, 1), rng.randint(0, 2)))
+        Generator(f"g{i}", Grading(rng.randint(0, 1), rng.randint(0, 2)))
         for i in range(count)
     )
     monos = [Monomial(1, 0), Monomial(0, 1), Monomial(1, 1)]
@@ -596,7 +596,7 @@ def relabelled(complex: BasedComplex, order: list[int], du: int = 0, dv: int = 0
     and every grading shifted by (du, dv)."""
     new_id = {old: i for i, old in enumerate(order)}
     gens = tuple(
-        Generator(i, f"h{i}", complex.grading(old).shifted(du, dv))
+        Generator(f"h{i}", complex.grading(old).shifted(du, dv))
         for i, old in enumerate(order)
     )
     arrows = [Arrow(new_id[a.source], a.monomial, new_id[a.target]) for a in complex.arrows]
@@ -614,7 +614,7 @@ def translated_onto(complex: BasedComplex, other: BasedComplex) -> BasedComplex:
     target = min(g.grading for g in other.generators)
     du, dv = target.gu - low.gu, target.gv - low.gv
     gens = tuple(
-        Generator(g.gid, g.name, g.grading.shifted(du, dv)) for g in complex.generators
+        Generator(g.name, g.grading.shifted(du, dv)) for g in complex.generators
     )
     return BasedComplex(complex.ring, gens, complex.arrows, complex.colors)
 
@@ -674,7 +674,7 @@ def is_based_isomorphism(
 def conjugate(complex: BasedComplex) -> BasedComplex:
     """The same complex with the roles of U and V interchanged."""
     gens = tuple(
-        Generator(g.gid, g.name, g.grading.swapped()) for g in complex.generators
+        Generator(g.name, g.grading.swapped()) for g in complex.generators
     )
     swap = {
         a: Arrow(a.source, Monomial(a.monomial.v, a.monomial.u), a.target)
@@ -849,15 +849,13 @@ def signature_rounds(links, n, colour):
 # The references for the arrow loops of rings.make_complex,
 # rings.degree_violations and homology.quotient_complex: the versions they
 # replaced, which read each arrow through its attributes and each grading
-# through BasedComplex.grading, copied with their bodies unchanged.
+# through BasedComplex.grading, copied with their bodies unchanged except
+# that they take a generator's id from its position: Generator has no id
+# field, so reference_make_complex has no id check.
 def reference_make_complex(ring, generators, arrows, colors=None) -> BasedComplex:
     gens = tuple(generators)
     names = set()
-    for i, g in enumerate(gens):
-        if g.gid != i:
-            raise ConstructionError(
-                f"generator id {g.gid} at position {i}; ids must be positional"
-            )
+    for g in gens:
         if g.name in names:
             raise ConstructionError(f"duplicate generator name {g.name!r}")
         names.add(g.name)
@@ -902,8 +900,8 @@ def reference_quotient_complex(complex: BasedComplex, kill: str) -> QuotientChai
         return g.grading.gu if kill == "U" else g.grading.gv
 
     buckets: dict[int, list[int]] = {}
-    for g in complex.generators:
-        buckets.setdefault(degree(g), []).append(g.gid)
+    for gid, g in enumerate(complex.generators):
+        buckets.setdefault(degree(g), []).append(gid)
     degrees = tuple(sorted(buckets))
     gens = {k: tuple(v) for k, v in buckets.items()}
     index = {

@@ -20,10 +20,14 @@ from tunnelfill import (
     check_correct_homology,
     check_symmetry,
     degree_violations,
+    differential_square,
+    oracle_decide,
     parse,
+    render_svg,
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import find_based_isomorphism, quotient_complex
+from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import R1, R2, RINF, make_complex
 from conftest import (
     based_complexes,
@@ -107,7 +111,7 @@ def raw_complexes(draw):
     ring = draw(st.sampled_from([R1, R2, RINF]))
     count = draw(st.integers(1, 5))
     gens = tuple(
-        Generator(i, f"g{i}", Grading(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))))
+        Generator(f"g{i}", Grading(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))))
         for i in range(count)
     )
     ends = st.integers(0, count - 1)
@@ -132,9 +136,9 @@ class TestRawArrows:
 
     # Generators x0 (0, 0), x1 (1, 1) and x2 (-1, 1).
     GENERATORS = (
-        Generator(0, "x0", Grading(0, 0)),
-        Generator(1, "x1", Grading(1, 1)),
-        Generator(2, "x2", Grading(-1, 1)),
+        Generator("x0", Grading(0, 0)),
+        Generator("x1", Grading(1, 1)),
+        Generator("x2", Grading(-1, 1)),
     )
     CASES = {
         "cancelling_duplicate": [Arrow(1, Monomial(1, 1), 0)] * 2,
@@ -160,8 +164,9 @@ class TestRawArrows:
 
 class TestUnknownGeneratorIds:
     """An arrow end outside the ids is an UnknownGeneratorError in every
-    verifier that reads the arrow, never a bare KeyError or IndexError, and
-    a negative id is not read from the end of a list."""
+    verifier, in the oracle and in the lattice and its drawing, never a bare
+    KeyError or IndexError, a silent pass or a wrong disconnection report,
+    and a negative id is not read from the end of a list."""
 
     @pytest.mark.parametrize("bad", [5, -1])
     @pytest.mark.parametrize("at_source", [False, True])
@@ -169,17 +174,21 @@ class TestUnknownGeneratorIds:
     def test_typed_error(self, bad, at_source, u, v, kill):
         # x0 and x1 sit at (0, 0) and (1, 1), so the gradings are
         # swap-symmetric and the symmetry search reads the arrows.
-        gens = (Generator(0, "x0", Grading(0, 0)), Generator(1, "x1", Grading(1, 1)))
+        gens = (Generator("x0", Grading(0, 0)), Generator("x1", Grading(1, 1)))
         ends = (bad, 1) if at_source else (1, bad)
         arrow = Arrow(ends[0], Monomial(u, v), ends[1])
         complex = BasedComplex(RINF, gens, frozenset({arrow, Arrow(1, Monomial(1, 1), 0)}))
         message = f"^no generator with id {bad}$"
         for check in (
+            differential_square,
+            oracle_decide,
             degree_violations,
             lambda c: quotient_complex(c, kill),
             check_correct_homology,
             check_symmetry,
             lambda c: find_based_isomorphism(c, c),
+            lattice_positions,
+            render_svg,
         ):
             with pytest.raises(UnknownGeneratorError, match=message):
                 check(complex)

@@ -79,8 +79,8 @@ class TestQuotient:
 
     def test_arrowless_complex_has_zero_matrices(self):
         gens = (
-            Generator(0, "a", Grading(0, 0)),
-            Generator(1, "b", Grading(-1, -1)),
+            Generator("a", Grading(0, 0)),
+            Generator("b", Grading(-1, -1)),
         )
         c = make_complex(R1, gens, [])
         chain = quotient_complex(c, "U")
@@ -123,8 +123,8 @@ class TestSymmetry:
 
     def test_identity_witness_for_a_self_conjugate_complex(self):
         gens = (
-            Generator(0, "a", Grading(1, 1)),
-            Generator(1, "b", Grading(2, 2)),
+            Generator("a", Grading(1, 1)),
+            Generator("b", Grading(2, 2)),
         )
         c = make_complex(RINF, gens, [Arrow(0, Monomial(1, 1), 1)])
         assert check_symmetry(c) == {0: 0, 1: 1}
@@ -135,9 +135,9 @@ class TestSymmetry:
         assert find_based_isomorphism(empty, empty) == {}
 
     def test_one_generator_is_its_own_image(self):
-        one = make_complex(RINF, (Generator(0, "x", Grading(2, -1)),), [])
+        one = make_complex(RINF, (Generator("x", Grading(2, -1)),), [])
         assert check_symmetry(one) is None
-        centred = make_complex(RINF, (Generator(0, "x", Grading(0, 0)),), [])
+        centred = make_complex(RINF, (Generator("x", Grading(0, 0)),), [])
         assert check_symmetry(centred) == {0: 0}
         assert find_based_isomorphism(one, one) == {0: 0}
 
@@ -163,7 +163,7 @@ class TestBasedIsomorphism:
         c = build_standard(SignSequence((2, -1, 1, -2)))
         relabelled = make_complex(
             c.ring,
-            tuple(Generator(g.gid, f"g{g.gid}", g.grading) for g in c.generators),
+            tuple(Generator(f"g{i}", g.grading) for i, g in enumerate(c.generators)),
             c.arrows,
         )
         assert find_based_isomorphism(c, relabelled) is not None
@@ -173,7 +173,7 @@ class TestBasedIsomorphism:
         shifted = make_complex(
             c.ring,
             tuple(
-                Generator(g.gid, g.name, g.grading.shifted(-1, -1))
+                Generator(g.name, g.grading.shifted(-1, -1))
                 for g in c.generators
             ),
             c.arrows,
@@ -193,7 +193,7 @@ def directed_cycles(*lengths):
     gens, arrows = [], []
     for length in lengths:
         base = len(gens)
-        gens += [Generator(base + i, f"g{base + i}", Grading(0, 0)) for i in range(length)]
+        gens += [Generator(f"g{base + i}", Grading(0, 0)) for i in range(length)]
         arrows += [
             Arrow(base + i, Monomial(1, 1), base + (i + 1) % length) for i in range(length)
         ]
@@ -202,7 +202,7 @@ def directed_cycles(*lengths):
 
 def directed_path(length):
     """A directed path of UV arrows, every generator at (0, 0)."""
-    gens = [Generator(i, f"g{i}", Grading(0, 0)) for i in range(length)]
+    gens = [Generator(f"g{i}", Grading(0, 0)) for i in range(length)]
     arrows = [Arrow(i, Monomial(1, 1), i + 1) for i in range(length - 1)]
     return make_complex(RINF, gens, arrows)
 
@@ -212,7 +212,7 @@ def disjoint_copies(complex, count):
     by i times its size."""
     size = len(complex.generators)
     gens = [
-        Generator(i * size + g.gid, f"{g.name}.{i}", g.grading)
+        Generator(f"{g.name}.{i}", g.grading)
         for i in range(count)
         for g in complex.generators
     ]
@@ -549,8 +549,8 @@ class TestBoundedMemory:
 
     def test_wide_arrowless_document(self):
         k = 2000
-        gens = [Generator(i, f"a{i}", Grading(0, 0)) for i in range(k)]
-        gens += [Generator(k + i, f"b{i}", Grading(1, 1)) for i in range(k)]
+        gens = [Generator(f"a{i}", Grading(0, 0)) for i in range(k)]
+        gens += [Generator(f"b{i}", Grading(1, 1)) for i in range(k)]
         wide = make_complex(RINF, gens, [])
         reports = []
         peak = traced_peak(lambda: reports.extend(check_correct_homology(wide)))

@@ -152,7 +152,7 @@ def fork(routes, first, shift):
     y, and each x, with x -> U y, offers the candidate w -> UV x to cancel it."""
     grades = [(0, 0), (3, -1), (2, 0)] + [(1, 1)] * routes
     gens = [
-        Generator(first + i, f"g{first + i}", Grading(gu + shift, gv + shift))
+        Generator(f"g{first + i}", Grading(gu + shift, gv + shift))
         for i, (gu, gv) in enumerate(grades)
     ]
     w, z, y = first, first + 1, first + 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tunnelfill import (
@@ -14,6 +16,7 @@ from tunnelfill import (
 )
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import R1, RINF, make_complex
+from conftest import census_realizations
 
 
 class TestPositions:
@@ -23,24 +26,24 @@ class TestPositions:
         assert pos == {0: (0, 0), 1: (2, 0), 2: (2, 2)}
 
     def test_single_generator(self):
-        c = make_complex(R1, [Generator(0, "a", Grading(0, 0))], [])
+        c = make_complex(R1, [Generator("a", Grading(0, 0))], [])
         assert lattice_positions(c) == {0: (0, 0)}
 
     def test_disconnected_complex_rejected(self):
-        gens = [Generator(0, "a", Grading(0, 0)), Generator(1, "b", Grading(0, 0))]
+        gens = [Generator("a", Grading(0, 0)), Generator("b", Grading(0, 0))]
         c = make_complex(R1, gens, [])
         with pytest.raises(RenderError, match="disconnected"):
             lattice_positions(c)
 
     def test_non_diagonal_mismatch_rejected(self):
-        gens = [Generator(0, "a", Grading(0, 0)), Generator(1, "b", Grading(0, 0))]
+        gens = [Generator("a", Grading(0, 0)), Generator("b", Grading(0, 0))]
         arrows = [Arrow(0, Monomial(1, 0), 1), Arrow(0, Monomial(2, 0), 1)]
         c = make_complex(RINF, gens, arrows)
         with pytest.raises(RenderError, match="inconsistent"):
             lattice_positions(c)
 
     def test_diagonal_mismatch_tolerated(self):
-        gens = [Generator(0, "a", Grading(0, 0)), Generator(1, "b", Grading(0, 0))]
+        gens = [Generator("a", Grading(0, 0)), Generator("b", Grading(0, 0))]
         arrows = [Arrow(0, Monomial(1, 0), 1), Arrow(0, Monomial(2, 1), 1)]
         c = make_complex(RINF, gens, arrows)
         assert lattice_positions(c)
@@ -53,7 +56,7 @@ class TestPositions:
 
 class TestSvg:
     def test_single_dot(self):
-        c = make_complex(R1, [Generator(0, "a", Grading(0, 0))], [])
+        c = make_complex(R1, [Generator("a", Grading(0, 0))], [])
         svg = render_svg(c)
         assert svg.count("<circle") == 1
         assert "<line" not in svg
@@ -80,6 +83,18 @@ class TestSvg:
             glued = realize(SignSequence(entries))
             svg = render_svg(glued)
             assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_census_realizations_are_pinned(self):
+        # The SVG of every realizable n <= 2, |a_i| <= 3 row, concatenated
+        # in census order.
+        realized = census_realizations()
+        digest = hashlib.sha256()
+        for glued in realized:
+            digest.update(render_svg(glued).encode())
+        assert len(realized) == 636
+        assert digest.hexdigest() == (
+            "7d660f0c9ddc8ad64e6175bce561fe6c82cd2c398dd47c5ef14f16e4173834c9"
+        )
 
     def test_labels_can_be_disabled(self):
         c = build_standard(SignSequence((2, 2)))

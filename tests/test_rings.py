@@ -179,7 +179,7 @@ class TestDifferentialSquare:
     @example(
         make_complex(
             RINF,
-            [Generator(i, f"g{i}", Grading(0, 0)) for i in range(5)],
+            [Generator(f"g{i}", Grading(0, 0)) for i in range(5)],
             [
                 Arrow(0, Monomial(1, 0), 1),
                 Arrow(1, Monomial(0, 1), 3),
@@ -264,7 +264,7 @@ class TestDegreeCheck:
     def test_corrupted_grading_is_reported(self):
         c = seq(2, 2)
         gens = list(c.generators)
-        gens[1] = Generator(1, "x1", Grading(0, 0))
+        gens[1] = Generator("x1", Grading(0, 0))
         broken = make_complex(R1, gens, c.arrows)
         bad = degree_violations(broken)
         assert arrow_by_names(c, "x1", 2, 0, "x0") in bad
@@ -292,10 +292,6 @@ class TestConstruction:
         c = seq(1, 1)
         with pytest.raises(ConstructionError):
             make_complex(R1, c.generators, [Arrow(0, Monomial(0, 0), 1)])
-
-    def test_positional_ids_enforced(self):
-        with pytest.raises(ConstructionError):
-            make_complex(R1, [Generator(1, "a", Grading(0, 0))], [])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ConstructionError):

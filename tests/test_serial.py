@@ -241,7 +241,7 @@ def matrix_documents(count: int = 50):
 
 def odd_names_complex() -> BasedComplex:
     names = ['say "hi"', "back\\slash", "ünïcödé ⊗ 𝔽₂", "tab\there"]
-    generators = [Generator(i, name, Grading(i, -i)) for i, name in enumerate(names)]
+    generators = [Generator(name, Grading(i, -i)) for i, name in enumerate(names)]
     arrows = [
         Arrow(1, Monomial(1, 0), 0), Arrow(2, Monomial(0, 2), 1), Arrow(3, Monomial(3, 0), 2)
     ]
@@ -258,7 +258,7 @@ def corpus() -> list[BasedComplex]:
     complexes += seeded_realizations()
     complexes += (parse(text) for text in matrix_documents())
     complexes.append(BasedComplex(R1, (), frozenset()))
-    complexes.append(BasedComplex(R1, (Generator(0, "x0", Grading(0, 0)),), frozenset()))
+    complexes.append(BasedComplex(R1, (Generator("x0", Grading(0, 0)),), frozenset()))
     complexes.append(odd_names_complex())
     return complexes
 
@@ -293,7 +293,7 @@ def fields_complex(doc) -> BasedComplex:
     """make_complex of a document's own fields, with no checks of its own."""
     ids = {g["name"]: i for i, g in enumerate(doc["generators"])}
     generators = [
-        Generator(i, g["name"], Grading(*g["gr"])) for i, g in enumerate(doc["generators"])
+        Generator(g["name"], Grading(*g["gr"])) for g in doc["generators"]
     ]
     arrows = [
         Arrow(ids[a["from"]], Monomial(a["u"], a["v"]), ids[a["to"]]) for a in doc["arrows"]

@@ -122,9 +122,9 @@ class TestStandardInvariants:
     def test_at_most_one_arrow_of_each_kind_per_generator(self, seq, head, tail):
         ext = ExtendedSignSequence(head, seq, tail)
         for c in (build_standard(seq), build_extended(ext)):
-            for g in c.generators:
+            for gid in range(len(c.generators)):
                 incident = [
-                    a for a in c.arrows if a.source == g.gid or a.target == g.gid
+                    a for a in c.arrows if a.source == gid or a.target == gid
                 ]
                 assert sum(1 for a in incident if a.monomial.is_horizontal) <= 1
                 assert sum(1 for a in incident if is_vertical(a.monomial)) <= 1
@@ -243,7 +243,7 @@ class TestInterning:
         keys = set()
         for entries in sequences:
             c = build_standard(SignSequence(entries))
-            keys |= {(g.gid, g.grading) for g in c.generators}
+            keys |= {(gid, g.grading) for gid, g in enumerate(c.generators)}
             assert len(_GENERATORS) <= _INTERNED_LIMIT
             assert len(_STEPS) <= _INTERNED_LIMIT
             # Extended chains share the caches, under keys of their own.
