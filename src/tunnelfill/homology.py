@@ -86,7 +86,6 @@ def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
 
     side = 0 if kill == "U" else 1  # the killed exponent's index in (u, v)
     degree = [g.grading.gv if side else g.grading.gu for g in complex.generators]
-    count = len(degree)
     buckets: dict[int, list[int]] = {}
     column = []  # each gid's position in its bucket
     for gid, k in enumerate(degree):
@@ -101,8 +100,6 @@ def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
         s, m, t = a
         if m[side]:
             continue
-        if not (0 <= s < count and 0 <= t < count):
-            complex.generator(s), complex.generator(t)  # raises for the unknown id
         k = degree[s]
         if degree[t] != k - 1:
             raise ConstructionError(
@@ -213,14 +210,8 @@ def _gradings(complex: BasedComplex) -> list[tuple[int, int]]:
 
 
 def _arrows(complex: BasedComplex) -> list[tuple[int, int, int, int]]:
-    """The arrows as (source, u, v, target); UnknownGeneratorError at an
-    end that is no generator id."""
-    count = len(complex.generators)
-    arrows = [(s, u, v, t) for s, (u, v), t in complex.arrows]
-    for s, _, _, t in arrows:
-        if not (0 <= s < count and 0 <= t < count):
-            complex.generator(s), complex.generator(t)  # raises for the unknown id
-    return arrows
+    """The arrows as (source, u, v, target)."""
+    return [(s, u, v, t) for s, (u, v), t in complex.arrows]
 
 
 def _isomorphism(gradings1, arrows1, gradings2, arrows2):

@@ -26,18 +26,13 @@ def lattice_positions(complex: BasedComplex) -> dict[int, Position]:
     """Assign each generator a grid position via pos(target) = pos(source) - (u, v),
     with the first generator at the origin.
 
-    Raises UnknownGeneratorError for an arrow end that is no generator id,
-    and RenderError if the arrow graph is disconnected, or if traversal
+    Raises RenderError if the arrow graph is disconnected, or if traversal
     paths disagree on a position by more than a diagonal shift.
     """
-    out = complex.outgoing
-    inc = complex.incoming
-    # Every arrow end is a key of one index, so their extremes bound the ids.
-    for index in (out, inc):
-        if index:
-            complex.generator(min(index)), complex.generator(max(index))
     if not complex.generators:
         return {}
+    out = complex.outgoing
+    inc = complex.incoming
     pos: dict[int, Position] = {0: (0, 0)}
     queue = deque([0])
     while queue:

@@ -181,9 +181,10 @@ class _Adjacency:
 class BasedComplex:
     """Free based module with an endomorphism, over one truncation level.
 
-    Generator ids are their positions in ``generators``. ``colors`` maps
-    arrows to display colors; it is metadata only and never affects the
-    algebra. Neither it nor the adjacency indexes may be mutated.
+    Generator ids are their positions in ``generators``, and every arrow end
+    is one: building a complex with any other end raises UnknownGeneratorError.
+    ``colors`` maps arrows to display colors; it is metadata only and never
+    affects the algebra. Neither it nor the adjacency indexes may be mutated.
     """
 
     ring: RingLevel
@@ -198,6 +199,12 @@ class BasedComplex:
         arrows: frozenset[Arrow],
         colors: dict[Arrow, str] | None = None,
     ):
+        count = len(generators)
+        for s, _, t in arrows:
+            if not (0 <= s < count and 0 <= t < count):
+                raise UnknownGeneratorError(
+                    f"no generator with id {t if 0 <= s < count else s}"
+                )
         # Written out, not generated: the frozen dataclass __init__ assigns
         # each field through object.__setattr__, and every built chain, its
         # lift and each filled complex come through here.
@@ -211,9 +218,6 @@ class BasedComplex:
         if not 0 <= gid < len(self.generators):
             raise UnknownGeneratorError(f"no generator with id {gid}")
         return self.generators[gid]
-
-    def grading(self, gid: int) -> Grading:
-        return self.generator(gid).grading
 
     # Read with .get(gid, ()) and never mutated; each list keeps the arrow
     # set's iteration order, so a caller that needs an order sorts.
@@ -297,16 +301,12 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
     """The terms (source, monomial, target) of d^2 that survive in the ring,
     each once and in sorted order.
 
-    The complex is a chain complex exactly when the result is empty. Raises
-    UnknownGeneratorError for an arrow end that is no generator id.
+    The complex is a chain complex exactly when the result is empty.
     """
     out = complex.outgoing
-    count = len(complex.generators)
     level = complex.ring.level
     terms: set[Term] = set()
     for s, m1, t in complex.arrows:
-        if not (0 <= s < count and 0 <= t < count):
-            complex.generator(s), complex.generator(t)  # raises for the unknown id
         seconds = out.get(t)
         if seconds is None:
             continue
@@ -322,12 +322,9 @@ def degree_violations(complex: BasedComplex) -> list[Arrow]:
     """Arrows breaking the degree equation; empty means the check passes.
     As d has degree (-1, -1), s -> U^u V^v t needs gr(t) - 2(u, v) = gr(s) - (1, 1)."""
     gradings = [(g.grading.gu, g.grading.gv) for g in complex.generators]
-    count = len(gradings)
     bad = []
     for a in complex.arrows:
         s, (u, v), t = a
-        if not (0 <= s < count and 0 <= t < count):
-            complex.generator(s), complex.generator(t)  # raises for the unknown id
         (su, sv), (tu, tv) = gradings[s], gradings[t]
         if tu - 2 * u != su - 1 or tv - 2 * v != sv - 1:
             bad.append(a)

@@ -11,12 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii as quote
 from typing import Any
 
-from .errors import (
-    ConstructionError,
-    DocumentError,
-    SequenceParseError,
-    UnknownGeneratorError,
-)
+from .errors import ConstructionError, DocumentError, SequenceParseError
 from .rings import R1, R2, RINF, Arrow, BasedComplex, Generator, Grading, Monomial
 from .standard import ExtendedSignSequence, SignSequence
 
@@ -81,25 +76,22 @@ def serialize(complex: BasedComplex, include_colors: bool = False) -> str:
     ring = RING_NAMES.get(complex.ring)
     if ring is None:
         raise DocumentError(f"no document name for ring level {complex.ring}")
-    quoted = {}
-    generators = []
-    for gid, g in enumerate(complex.generators):
-        quoted[gid] = name = quote(g.name)
-        generators.append(_GENERATOR % (name, g.grading.gu, g.grading.gv))
+    quoted = [quote(g.name) for g in complex.generators]
+    generators = [
+        _GENERATOR % (name, g.grading.gu, g.grading.gv)
+        for name, g in zip(quoted, complex.generators)
+    ]
     colors = complex.colors if include_colors else {}
     arrows = []
-    try:
-        for arrow in sorted(complex.arrows):
-            source, (u, v), target = arrow
-            color = colors.get(arrow)
-            if color is None:
-                arrows.append(_ARROW % (quoted[source], quoted[target], u, v))
-            else:
-                arrows.append(
-                    _COLORED_ARROW % (quoted[source], quoted[target], u, v, quote(color))
-                )
-    except KeyError as exc:
-        raise UnknownGeneratorError(f"no generator with id {exc.args[0]}") from None
+    for arrow in sorted(complex.arrows):
+        source, (u, v), target = arrow
+        color = colors.get(arrow)
+        if color is None:
+            arrows.append(_ARROW % (quoted[source], quoted[target], u, v))
+        else:
+            arrows.append(
+                _COLORED_ARROW % (quoted[source], quoted[target], u, v, quote(color))
+            )
     return _DOCUMENT % (ring, _block(generators), _block(arrows))
 
 

@@ -86,8 +86,8 @@ def candidate_monomial(complex: BasedComplex, x: int, y: int) -> Monomial | None
     """
     if x == y:
         raise ConstructionError("an arrow needs distinct endpoints")
-    gx = complex.grading(x)
-    gy = complex.grading(y)
+    gx = complex.generators[x].grading
+    gy = complex.generators[y].grading
     num_u = gy.gu - gx.gu + 1
     num_v = gy.gv - gx.gv + 1
     if num_u % 2 != 0 or num_v % 2 != 0:
@@ -202,14 +202,14 @@ def reference_build_extended(ext: ExtendedSignSequence) -> BasedComplex:
     two_n = len(ext.body.entries)
 
     # End gradings, forced by the head and tail arrows.
-    g0 = body.grading(0)
+    g0 = body.generators[0].grading
     n1 = abs(ext.head)
     if ext.head > 0:
         # x_0 -> V^{n1} x_-1
         g_head = g0.shifted(-1, 2 * n1 - 1)
     else:
         g_head = g0.shifted(1, -(2 * n1 - 1))
-    g_last = body.grading(two_n)
+    g_last = body.generators[two_n].grading
     n2 = abs(ext.tail)
     if ext.tail > 0:
         # x_2n+1 -> U^{n2} x_2n
@@ -217,7 +217,7 @@ def reference_build_extended(ext: ExtendedSignSequence) -> BasedComplex:
     else:
         g_tail = g_last.shifted(2 * n2 - 1, -1)
 
-    gradings = [g_head] + [body.grading(i) for i in range(two_n + 1)] + [g_tail]
+    gradings = [g_head] + [body.generators[i].grading for i in range(two_n + 1)] + [g_tail]
     names = [f"x{k}" for k in range(-1, two_n + 2)]
     gens = tuple(Generator(nm, gr) for nm, gr in zip(names, gradings))
     # Subscript k in -1..2n+1 lives at generator id k + 1, so the entry at
@@ -363,9 +363,7 @@ def undirected_components(complex: BasedComplex) -> list[set[int]]:
 def subcomplex(complex: BasedComplex, ids) -> BasedComplex:
     ids = sorted(ids)
     remap = {old: i for i, old in enumerate(ids)}
-    gens = tuple(
-        Generator(complex.generator(g).name, complex.grading(g)) for g in ids
-    )
+    gens = tuple(complex.generators[g] for g in ids)
     arrows = [
         Arrow(remap[a.source], a.monomial, remap[a.target])
         for a in complex.arrows
@@ -596,7 +594,7 @@ def relabelled(complex: BasedComplex, order: list[int], du: int = 0, dv: int = 0
     and every grading shifted by (du, dv)."""
     new_id = {old: i for i, old in enumerate(order)}
     gens = tuple(
-        Generator(f"h{i}", complex.grading(old).shifted(du, dv))
+        Generator(f"h{i}", complex.generators[old].grading.shifted(du, dv))
         for i, old in enumerate(order)
     )
     arrows = [Arrow(new_id[a.source], a.monomial, new_id[a.target]) for a in complex.arrows]
@@ -880,8 +878,8 @@ def reference_make_complex(ring, generators, arrows, colors=None) -> BasedComple
 def reference_arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:
     # Degree equation for d of degree (-1,-1):
     #   gr(target) - 2*(u, v) == gr(source) + (-1, -1), componentwise.
-    gs = complex.grading(arrow.source)
-    gt = complex.grading(arrow.target)
+    gs = complex.generators[arrow.source].grading
+    gt = complex.generators[arrow.target].grading
     m = arrow.monomial
     return gt.gu - 2 * m.u == gs.gu - 1 and gt.gv - 2 * m.v == gs.gv - 1
 

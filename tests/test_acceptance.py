@@ -221,8 +221,8 @@ def test_criterion_6_realization_pipeline():
             assert degree_violations(glued) == [], entries
             u_side, v_side = check_correct_homology(glued)
             assert u_side.verdict and v_side.verdict, entries
-            assert glued.grading(id_of(glued, "x0")).gu == 0, entries
-            assert glued.grading(id_of(glued, f"x{2 * n}")).gv == 0, entries
+            assert glued.generators[id_of(glued, "x0")].grading.gu == 0, entries
+            assert glued.generators[id_of(glued, f"x{2 * n}")].grading.gv == 0, entries
             if check_symmetry(build_standard(seq)) is not None:
                 symmetric_count += 1
                 assert check_symmetry(glued) is not None, entries

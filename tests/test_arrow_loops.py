@@ -1,9 +1,9 @@
 """The arrow loops of ``make_complex``, ``degree_violations`` and
 ``quotient_complex`` against the versions they replaced
 (``conftest.reference_*``): the same output, or the same error type and
-message, on every corpus below. The one deliberate difference: an arrow end
-that is no generator id is an UnknownGeneratorError in ``quotient_complex``,
-where the reference raised a bare KeyError."""
+message, on every corpus below. An arrow end that is no generator id never
+reaches the checks: ``BasedComplex`` refuses it with UnknownGeneratorError
+when the complex is built."""
 
 import hypothesis.strategies as st
 import pytest
@@ -12,23 +12,18 @@ from hypothesis import given
 from tunnelfill import (
     Arrow,
     BasedComplex,
+    ConstructionError,
     Generator,
     Grading,
     Monomial,
     UnknownGeneratorError,
     build_standard,
-    check_correct_homology,
-    check_symmetry,
     degree_violations,
-    differential_square,
-    oracle_decide,
     parse,
-    render_svg,
 )
 from tunnelfill.census import census_sequences
-from tunnelfill.homology import find_based_isomorphism, quotient_complex
-from tunnelfill.lattice import lattice_positions
-from tunnelfill.rings import R1, R2, RINF, make_complex
+from tunnelfill.homology import quotient_complex
+from tunnelfill.rings import R1, R2, RINF, add_arrows, make_complex
 from conftest import (
     based_complexes,
     census_realizations,
@@ -48,20 +43,27 @@ def outcome(function, *args):
         return type(exc), str(exc)
 
 
-def reference_quotient_outcome(complex, kill):
-    kind, value = outcome(reference_quotient_complex, complex, kill)
-    if kind is KeyError:
-        return UnknownGeneratorError, f"no generator with id {value}"
-    return kind, value
-
-
 def assert_checks_match(complex):
     expected = outcome(reference_degree_violations, complex)
     assert outcome(degree_violations, complex) == expected
     for kill in "UV":
-        assert outcome(quotient_complex, complex, kill) == reference_quotient_outcome(
-            complex, kill
-        )
+        expected = outcome(reference_quotient_complex, complex, kill)
+        assert outcome(quotient_complex, complex, kill) == expected
+
+
+def assert_built_checks_match(ring, generators, arrows):
+    """``BasedComplex`` on the arrow set raises UnknownGeneratorError, naming
+    the first end in iteration order that is no generator id, exactly when
+    there is one; otherwise its checks match the references."""
+    arrows = frozenset(arrows)
+    ids = range(len(generators))
+    unknown = [end for a in arrows for end in (a.source, a.target) if end not in ids]
+    if unknown:
+        message = f"^no generator with id {unknown[0]}$"
+        with pytest.raises(UnknownGeneratorError, match=message):
+            BasedComplex(ring, generators, arrows)
+    else:
+        assert_checks_match(BasedComplex(ring, generators, arrows))
 
 
 def assert_made_alike(ring, generators, arrows, colors=None):
@@ -132,7 +134,7 @@ class TestRawArrows:
     @given(raw_complexes())
     def test_checks_on_any_arrow_set(self, raw):
         ring, gens, arrows, colors = raw
-        assert_checks_match(BasedComplex(ring, gens, frozenset(arrows)))
+        assert_built_checks_match(ring, gens, arrows)
 
     # Generators x0 (0, 0), x1 (1, 1) and x2 (-1, 1).
     GENERATORS = (
@@ -159,36 +161,30 @@ class TestRawArrows:
     def test_listed_faults(self, case, ring):
         arrows = self.CASES[case]
         assert_made_alike(ring, self.GENERATORS, arrows, {arrows[0]: "blue"})
-        assert_checks_match(BasedComplex(ring, self.GENERATORS, frozenset(arrows)))
+        assert_built_checks_match(ring, self.GENERATORS, arrows)
 
 
 class TestUnknownGeneratorIds:
-    """An arrow end outside the ids is an UnknownGeneratorError in every
-    verifier, in the oracle and in the lattice and its drawing, never a bare
-    KeyError or IndexError, a silent pass or a wrong disconnection report,
-    and a negative id is not read from the end of a list."""
+    """An arrow end outside the ids is an UnknownGeneratorError when a complex
+    is built, by ``BasedComplex`` or by ``add_arrows``, so no reader ever sees
+    it, and a negative id is not read from the end of a list."""
 
     @pytest.mark.parametrize("bad", [5, -1])
     @pytest.mark.parametrize("at_source", [False, True])
     @pytest.mark.parametrize("u, v, kill", [(0, 1, "U"), (1, 0, "V")])
     def test_typed_error(self, bad, at_source, u, v, kill):
-        # x0 and x1 sit at (0, 0) and (1, 1), so the gradings are
-        # swap-symmetric and the symmetry search reads the arrows.
         gens = (Generator("x0", Grading(0, 0)), Generator("x1", Grading(1, 1)))
-        ends = (bad, 1) if at_source else (1, bad)
-        arrow = Arrow(ends[0], Monomial(u, v), ends[1])
-        complex = BasedComplex(RINF, gens, frozenset({arrow, Arrow(1, Monomial(1, 1), 0)}))
+        link = Arrow(1, Monomial(1, 1), 0)
+        arrow = Arrow(bad, Monomial(u, v), 0) if at_source else Arrow(1, Monomial(u, v), bad)
         message = f"^no generator with id {bad}$"
-        for check in (
-            differential_square,
-            oracle_decide,
-            degree_violations,
-            lambda c: quotient_complex(c, kill),
-            check_correct_homology,
-            check_symmetry,
-            lambda c: find_based_isomorphism(c, c),
-            lattice_positions,
-            render_svg,
-        ):
-            with pytest.raises(UnknownGeneratorError, match=message):
-                check(complex)
+        with pytest.raises(UnknownGeneratorError, match=message):
+            BasedComplex(RINF, gens, frozenset({arrow, link}))
+        complex = BasedComplex(RINF, gens, frozenset({link}))
+        with pytest.raises(UnknownGeneratorError, match=message):
+            add_arrows(complex, [arrow])
+        with pytest.raises(ConstructionError, match="references an unknown generator"):
+            make_complex(RINF, gens, [arrow, link])
+        # With x1 -> x0 for its ends, the arrow is added and the ``kill``
+        # quotient reads it: only the unknown end is refused.
+        fixed = add_arrows(complex, [Arrow(1, Monomial(u, v), 0)])
+        assert quotient_complex(fixed, kill).arrows == {0: (), 1: ((0, 0, 1),)}

@@ -138,7 +138,7 @@ class TestDoubling:
         c = double(lifted.complex)
         count = len(c.generators) // 2
         for x_id, y_id in zip(range(count), range(count, 2 * count)):
-            gx, gy = c.grading(x_id), c.grading(y_id)
+            gx, gy = c.generators[x_id].grading, c.generators[y_id].grading
             assert (gy.gu, gy.gv) == (gx.gu - 1, gx.gv - 1)
 
     def test_doubled_complex_is_a_chain_complex_over_the_full_ring(self):
@@ -222,8 +222,8 @@ class TestGluing:
         glued = realize(EXAMPLE)
         u_side, v_side = check_correct_homology(glued)
         assert u_side.verdict and v_side.verdict
-        assert glued.grading(id_of(glued, "x0")).gu == 0
-        assert glued.grading(id_of(glued, "x6")).gv == 0
+        assert glued.generators[id_of(glued, "x0")].grading.gu == 0
+        assert glued.generators[id_of(glued, "x6")].grading.gv == 0
 
     def test_mod_uv_reduction_contains_the_standard_summand(self):
         seq = SignSequence((2, 2))

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 from tunnelfill import (
     BasedComplex,
+    ConstructionError,
     Generator,
     Grading,
     Monomial,
@@ -53,6 +54,10 @@ from conftest import (
 
 
 class TestQuotient:
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ConstructionError, match="kill must be 'U' or 'V', not 'W'"):
+            quotient_complex(build_standard(SignSequence((2, 2))), "W")
+
     def test_vertical_arrow_survives_killing_u(self):
         c = build_standard(SignSequence((2, 2)))
         chain = quotient_complex(c, "U")

@@ -29,6 +29,9 @@ class TestPositions:
         c = make_complex(R1, [Generator("a", Grading(0, 0))], [])
         assert lattice_positions(c) == {0: (0, 0)}
 
+    def test_empty_complex(self):
+        assert lattice_positions(make_complex(R1, [], [])) == {}
+
     def test_disconnected_complex_rejected(self):
         gens = [Generator("a", Grading(0, 0)), Generator("b", Grading(0, 0))]
         c = make_complex(R1, gens, [])
@@ -60,6 +63,11 @@ class TestSvg:
         svg = render_svg(c)
         assert svg.count("<circle") == 1
         assert "<line" not in svg
+
+    def test_empty_complex(self):
+        svg = render_svg(make_complex(R1, [], []))
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "<circle" not in svg
 
     def test_one_circle_per_generator_and_line_per_arrow(self):
         c = build_standard(SignSequence((2, -2, -1, 1, 3, -1)))

@@ -296,3 +296,27 @@ class TestConstruction:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ConstructionError):
             Monomial(-1, 0)
+
+    def test_duplicate_generator_names_rejected(self):
+        gens = [Generator("x0", Grading(0, 0)), Generator("x0", Grading(1, 1))]
+        with pytest.raises(ConstructionError, match="duplicate generator name 'x0'"):
+            make_complex(R1, gens, [])
+
+    def test_ring_level_below_one_rejected(self):
+        with pytest.raises(ConstructionError, match="ring level must be >= 1, got 0"):
+            RingLevel(0)
+
+    def test_adding_a_present_arrow_removes_it_and_its_color(self):
+        c = lift_to(seq(1, 1), R2)
+        arrow = Arrow(2, Monomial(1, 1), 0)
+        colored = add_arrows(c, [arrow], color="red")
+        assert colored.colors == {arrow: "red"}
+        removed = add_arrows(colored, [arrow], color="blue")
+        assert removed.arrows == c.arrows
+        assert removed.colors == {}
+
+    def test_adding_an_arrow_dead_in_the_ring_skips_it(self):
+        c = lift_to(seq(1, 1), R2)
+        added = add_arrows(c, [Arrow(2, Monomial(2, 2), 0)], color="red")
+        assert added.arrows == c.arrows
+        assert added.colors == {}

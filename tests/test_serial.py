@@ -29,7 +29,7 @@ from tunnelfill import (
     serialize,
 )
 from tunnelfill.builder import extend_and_realize
-from tunnelfill.rings import R1, RINF, make_complex
+from tunnelfill.rings import R1, RINF, RingLevel, make_complex
 from tunnelfill.serial import NAMED_RINGS
 from tunnelfill.standard import build_extended
 from conftest import (
@@ -279,6 +279,11 @@ class TestSerializeLayout:
     def test_byte_identical_to_json_indent_2(self, documents, include_colors):
         for c in documents:
             assert serialize(c, include_colors) == reference_serialize(c, include_colors)
+
+    def test_ring_without_a_document_name(self):
+        c = make_complex(RingLevel(3), [Generator("x", Grading(0, 0))], [])
+        with pytest.raises(DocumentError, match="^no document name for ring level R3$"):
+            serialize(c)
 
     def test_empty_lists_and_escapes(self):
         empty = serialize(BasedComplex(R1, (), frozenset()))

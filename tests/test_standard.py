@@ -30,7 +30,7 @@ from conftest import (
 
 
 def grading_of(complex, name):
-    g = complex.grading(id_of(complex, name))
+    g = complex.generators[id_of(complex, name)].grading
     return (g.gu, g.gv)
 
 
@@ -188,15 +188,16 @@ class TestNormalizationAnchors:
     @given(sign_sequences(max_n=3, max_abs=4))
     def test_anchor_gradings(self, seq):
         c = build_standard(seq)
-        assert c.grading(0).gu == 0
-        assert c.grading(len(c.generators) - 1).gv == 0
+        assert c.generators[0].grading.gu == 0
+        assert c.generators[-1].grading.gv == 0
 
     def test_extended_body_keeps_standard_gradings(self):
         body = SignSequence((-1, 1, 2, -1, 1, 3))
         std = build_standard(body)
         ext = build_extended(ExtendedSignSequence(4, body, -4))
         for i in range(7):
-            assert std.grading(id_of(std, f"x{i}")) == ext.grading(id_of(ext, f"x{i}"))
+            name = f"x{i}"
+            assert std.generators[id_of(std, name)] == ext.generators[id_of(ext, name)]
 
 
 class TestExtendedChain:
