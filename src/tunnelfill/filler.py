@@ -37,14 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, InternalError
-from .rings import (
-    R2,
-    Arrow,
-    BasedComplex,
-    Monomial,
-    add_arrows,
-    lift_to,
-)
+from .rings import R2, Arrow, BasedComplex, Monomial
 from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
 
 # A d^2 term that must be cancelled: (source id, monomial, target id).
@@ -276,8 +269,11 @@ def partial_realize(complex: BasedComplex) -> DecisionOutcome:
             "partial_realize takes a chain built by build_standard or build_extended"
         )
     events, added, obstructions = fill_links(links)
-    lifted = lift_to(complex, R2)
-    filled = add_arrows(lifted, added, color=ADDED_COLOR) if added else lifted
+    # A plain union inserts the added arrows: fill_links raises if one is
+    # already present, each is diagonal and no link is, so none cancels a
+    # chain arrow, and each has a unit exponent, so none vanishes over R2.
+    colors = dict.fromkeys(added, ADDED_COLOR)
+    filled = BasedComplex(R2, complex.generators, complex.arrows.union(added), colors)
     if obstructions:
         return NotRealizable(obstructions, filled)
     return PartialRealization(filled, tuple(events))

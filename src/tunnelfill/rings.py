@@ -129,9 +129,6 @@ class Grading:
     def shifted(self, du: int, dv: int) -> "Grading":
         return Grading(self.gu + du, self.gv + dv)
 
-    def swapped(self) -> "Grading":
-        return Grading(self.gv, self.gu)
-
 
 class Arrow(NamedTuple):
     """One F2 term of the differential: target appears in d(source) with
@@ -206,8 +203,8 @@ class BasedComplex:
                     f"no generator with id {t if 0 <= s < count else s}"
                 )
         # Written out, not generated: the frozen dataclass __init__ assigns
-        # each field through object.__setattr__, and every built chain, its
-        # lift and each filled complex come through here.
+        # each field through object.__setattr__, and every built chain and
+        # each decision's outcome come through here.
         fields = self.__dict__
         fields["ring"] = ring
         fields["generators"] = generators
@@ -270,7 +267,8 @@ def make_complex(
 def add_arrows(
     complex: BasedComplex, new: Iterable[Arrow], color: str | None = None
 ) -> BasedComplex:
-    """Insert arrows (duplicates cancel), optionally tagging the survivors."""
+    """Insert arrows (duplicates cancel), optionally tagging the survivors.
+    No src/ caller: kept as the tests' reference, and perfbench/tracer.py binds it."""
     arrows = set(complex.arrows)
     colors = dict(complex.colors)
     for a in new:
@@ -289,7 +287,7 @@ def add_arrows(
 def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     """Reinterpret the same arrows over a larger quotient."""
     # The same test as target < complex.ring, without the generated __lt__:
-    # every decision lifts once.
+    # every census oracle cross-check and every double lifts once.
     if target.sort_index < complex.ring.sort_index:
         raise InvalidLiftError(
             f"cannot lift {complex.ring} to the smaller ring {target}"

@@ -672,7 +672,8 @@ def is_based_isomorphism(
 def conjugate(complex: BasedComplex) -> BasedComplex:
     """The same complex with the roles of U and V interchanged."""
     gens = tuple(
-        Generator(g.name, g.grading.swapped()) for g in complex.generators
+        Generator(g.name, Grading(g.grading.gv, g.grading.gu))
+        for g in complex.generators
     )
     swap = {
         a: Arrow(a.source, Monomial(a.monomial.v, a.monomial.u), a.target)

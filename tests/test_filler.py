@@ -18,6 +18,7 @@ from tunnelfill import (
     decide,
     differential_square,
     filler,
+    parse_sequence,
     rings,
 )
 from tunnelfill.census import census_sequences
@@ -436,3 +437,35 @@ class TestNoSquareInTheFiller:
         for c in (chain, outcome.complex):
             assert "outgoing" not in c.__dict__
             assert "incoming" not in c.__dict__
+
+
+class TestOneConstructionPerDecision:
+    """A decision builds two complexes: the chain, and its outcome with the
+    added arrows, in one step."""
+
+    @pytest.mark.parametrize(
+        "text, realizable",
+        [
+            ("-1,1,2,-1,1,3", True),
+            ("-1,1,2,-1,1,2", False),
+            ("5 | -1,1,2,-2,-1,1 | -5", True),
+            ("3 | -1,1,2,-1,1,2 | -4", False),
+        ],
+    )
+    def test_decide_builds_the_chain_and_its_outcome(
+        self, monkeypatch, text, realizable
+    ):
+        built = []
+        init = rings.BasedComplex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rings.BasedComplex, "__init__", counting)
+        outcome = decide(parse_sequence(text))
+        assert isinstance(outcome, PartialRealization) == realizable
+        # Every case adds arrows, obstructed or not.
+        result = outcome.complex if realizable else outcome.partial_progress
+        assert result.colors
+        assert built == [R1, R2]
