@@ -52,7 +52,6 @@ from .rings import (
     degree_violations,
     differential_square,
     lift_to,
-    make_complex,
 )
 from .standard import ExtendedSignSequence, SignSequence, build_extended, chain_links
 
@@ -106,7 +105,14 @@ def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRea
 def double(lifted: BasedComplex) -> BasedComplex:
     """Join two copies of a level-2 chain complex into a chain complex over
     the full ring, using unit-diagonal and correction arrows. The second
-    copy's ids follow the first's, in the same order."""
+    copy's ids follow the first's, in the same order.
+
+    The arrows go straight into the complex, as none needs canceling or
+    dropping: each color joins its own pairs of copies (black x to x, red
+    y to y, blue y to x, green x to y), so no two coincide; the y names
+    are the x names under a new prefix; and a green monomial is
+    U^(a-1) V^(b-1) with a, b >= 2, as smaller terms raise first, so no
+    arrow is a unit or a self-loop and none vanishes over the full ring."""
     count = len(lifted.generators)
     colors: dict[Arrow, str] = {}
     for x, mono, y in differential_square(lift_to(lifted, RINF)):
@@ -129,7 +135,7 @@ def double(lifted: BasedComplex) -> BasedComplex:
     for gid in range(count):
         colors[Arrow(count + gid, Monomial(1, 1), gid)] = BLUE
 
-    return make_complex(RINF, lifted.generators + y_gens, colors.keys(), colors)
+    return BasedComplex(RINF, lifted.generators + y_gens, frozenset(colors), colors)
 
 
 def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
@@ -164,9 +170,8 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     new_id[x_first] = new_id[x_last] = len(keep)  # z
 
     # When the offset is zero and one source reaches both endpoints, its two
-    # z-arrows coincide and cancel; that is honest F2 arithmetic and the
-    # chain and degree checks below still have to pass.
-    new_arrows: list[Arrow] = []
+    # z-arrows coincide and cancel, x + x = 0 over F2; the chain and degree
+    # checks below still have to pass.
     new_colors: dict[Arrow, str] = {}
     colors = complex.colors
     for a in sorted(complex.arrows):
@@ -180,8 +185,8 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
                 f"placement forces exponents ({du}, {dv}); the extensions are too short"
             )
         arrow = Arrow(new_id[source], Monomial.of(du, dv), new_id[target])
-        new_arrows.append(arrow)
-        new_colors[arrow] = colors.get(a) or BLACK
+        if new_colors.pop(arrow, None) is None:
+            new_colors[arrow] = colors.get(a) or BLACK
 
     generators = complex.generators
 
@@ -199,7 +204,7 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     gens = [Generator(generators[g].name, grading[g]) for g in keep]
     gens.append(Generator("z", forced_grading(x_top, x_last)))
 
-    glued = make_complex(RINF, gens, new_arrows, new_colors)
+    glued = BasedComplex(RINF, tuple(gens), frozenset(new_colors), new_colors)
     bad = degree_violations(glued)
     if bad:
         raise InternalError(f"glued complex breaks the degree equation at {bad[:3]}")

@@ -83,13 +83,6 @@ class PartialRealization:
     complex: BasedComplex
     added: tuple[ForcedArrowEvent, ...]
 
-    def __init__(self, complex: BasedComplex, added: tuple[ForcedArrowEvent, ...]):
-        # Written out, not generated, for the reason BasedComplex gives:
-        # partial_realize builds one for every chain that lifts.
-        fields = self.__dict__
-        fields["complex"] = complex
-        fields["added"] = added
-
 
 @dataclass(frozen=True)
 class NotRealizable:

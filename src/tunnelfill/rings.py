@@ -3,8 +3,8 @@
 Everything is immutable. A complex is a finite generator list with integer
 bigradings plus a set of arrows; an arrow (source, U^a V^b, target) records a
 coefficient-1 term of the differential. Coefficients live in F2, so presence
-and absence of an arrow is all the arithmetic there is, and inserting a
-duplicate arrow cancels it.
+and absence of an arrow is all the arithmetic there is: an arrow inserted
+twice cancels, as ``add_arrows`` and ``builder.glue`` do.
 
 Monomials and arrows are named tuples, so the hashing and comparison that
 every arrow-set operation does run in C.
@@ -13,7 +13,7 @@ every arrow-set operation does run in C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     ConstructionError,
@@ -203,8 +203,8 @@ class BasedComplex:
                     f"no generator with id {t if 0 <= s < count else s}"
                 )
         # Written out, not generated: the frozen dataclass __init__ assigns
-        # each field through object.__setattr__, and every built chain and
-        # each decision's outcome come through here.
+        # each field through object.__setattr__, and every built chain, each
+        # decision's outcome and both realization steps come through here.
         fields = self.__dict__
         fields["ring"] = ring
         fields["generators"] = generators
@@ -225,43 +225,6 @@ class BasedComplex:
     # complex built as a chain; a builder stores the tuple in the instance
     # dict. Not a field, so equality and repr ignore it.
     links = None
-
-
-def make_complex(
-    ring: RingLevel,
-    generators: Iterable[Generator],
-    arrows: Iterable[Arrow],
-    colors: Mapping[Arrow, str] | None = None,
-) -> BasedComplex:
-    """Assemble a complex, canonicalizing the arrow set.
-
-    Arrows whose monomial vanishes at ``ring`` are dropped, and arrows listed
-    an even number of times cancel.
-    """
-    gens = tuple(generators)
-    names = set()
-    for g in gens:
-        if g.name in names:
-            raise ConstructionError(f"duplicate generator name {g.name!r}")
-        names.add(g.name)
-
-    count, level = len(gens), ring.level
-    counts: dict[Arrow, int] = {}
-    for a in arrows:
-        s, (u, v), t = a
-        if not 0 <= s < count or not 0 <= t < count:
-            raise ConstructionError(f"arrow {a} references an unknown generator")
-        if s == t:
-            raise ConstructionError(f"arrow {a} is a self-loop")
-        if not u and not v:
-            raise ConstructionError(f"arrow {a} carries the unit monomial")
-        if level is not None and u >= level and v >= level:
-            continue
-        counts[a] = counts.get(a, 0) ^ 1
-    kept = frozenset(a for a, c in counts.items() if c)
-
-    kept_colors = {a: c for a, c in (colors or {}).items() if a in kept}
-    return BasedComplex(ring, gens, kept, kept_colors)
 
 
 def add_arrows(

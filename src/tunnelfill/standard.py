@@ -134,7 +134,7 @@ def _chain(entries: tuple[int, ...], first: int) -> BasedComplex:
         gv += dv
         gens.append(_GENERATORS[first, i, gu, gv])
         arrows.append(arrow)
-    # The chain is valid by construction; skip make_complex revalidation.
+    # The chain is valid by construction: no arrow repeats or is a unit.
     complex = BasedComplex(R1, tuple(gens), frozenset(arrows))
     complex.__dict__["links"] = tuple(arrows)
     return complex

@@ -44,7 +44,6 @@ from tunnelfill.rings import (
     add_arrows,
     differential_square,
     lift_to,
-    make_complex,
 )
 from tunnelfill.serial import RING_NAMES
 
@@ -845,13 +844,13 @@ def signature_rounds(links, n, colour):
         count = len(names)
 
 
-# The references for the arrow loops of rings.make_complex,
-# rings.degree_violations and homology.quotient_complex: the versions they
-# replaced, which read each arrow through its attributes and each grading
-# through BasedComplex.grading, copied with their bodies unchanged except
-# that they take a generator's id from its position: Generator has no id
-# field, so reference_make_complex has no id check.
-def reference_make_complex(ring, generators, arrows, colors=None) -> BasedComplex:
+# A complex from any generators and arrow list, canonicalized: arrows listed
+# an even number of times cancel and arrows dead in the ring are dropped,
+# while duplicate names, self-loops, unit monomials and ends that are no id
+# raise ConstructionError. The tests build their complexes with it; the
+# library builds each of its own with BasedComplex(...), which needs none of
+# this.
+def make_complex(ring, generators, arrows, colors=None) -> BasedComplex:
     gens = tuple(generators)
     names = set()
     for g in gens:
@@ -876,6 +875,11 @@ def reference_make_complex(ring, generators, arrows, colors=None) -> BasedComple
     return BasedComplex(ring, gens, kept, kept_colors)
 
 
+# The references for the arrow loops of rings.degree_violations and
+# homology.quotient_complex: the versions they replaced, which read each
+# arrow through its attributes and each grading through
+# BasedComplex.grading, copied with their bodies unchanged except that they
+# take a generator's id from its position.
 def reference_arrow_degree_ok(complex: BasedComplex, arrow: Arrow) -> bool:
     # Degree equation for d of degree (-1,-1):
     #   gr(target) - 2*(u, v) == gr(source) + (-1, -1), componentwise.

@@ -1,7 +1,6 @@
-"""The arrow loops of ``make_complex``, ``degree_violations`` and
-``quotient_complex`` against the versions they replaced
-(``conftest.reference_*``): the same output, or the same error type and
-message, on every corpus below. An arrow end that is no generator id never
+"""The arrow loops of ``degree_violations`` and ``quotient_complex`` against
+the versions they replaced (``conftest.reference_*``): the same output, or
+the same error type and message, on every corpus below. An arrow end that is no generator id never
 reaches the checks: ``BasedComplex`` refuses it with UnknownGeneratorError
 when the complex is built."""
 
@@ -12,7 +11,6 @@ from hypothesis import given
 from tunnelfill import (
     Arrow,
     BasedComplex,
-    ConstructionError,
     Generator,
     Grading,
     Monomial,
@@ -23,14 +21,13 @@ from tunnelfill import (
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import quotient_complex
-from tunnelfill.rings import R1, R2, RINF, add_arrows, make_complex
+from tunnelfill.rings import R1, R2, RINF, add_arrows
 from conftest import (
     based_complexes,
     census_realizations,
     criterion_9_matrices,
     dense_document,
     reference_degree_violations,
-    reference_make_complex,
     reference_quotient_complex,
 )
 
@@ -66,25 +63,11 @@ def assert_built_checks_match(ring, generators, arrows):
         assert_checks_match(BasedComplex(ring, generators, arrows))
 
 
-def assert_made_alike(ring, generators, arrows, colors=None):
-    made = outcome(make_complex, ring, generators, arrows, colors)
-    expected = outcome(reference_make_complex, ring, generators, arrows, colors)
-    assert made == expected
-    if made[0] == "returns":
-        # Adjacency lists and the isomorphism search inherit this order.
-        assert list(made[1].arrows) == list(expected[1].arrows)
-
-
-def assert_all_match(complex):
-    assert_checks_match(complex)
-    assert_made_alike(complex.ring, complex.generators, list(complex.arrows), complex.colors)
-
-
 class TestCorpora:
     def test_census_standard_complexes(self):
         count = 0
         for seq in census_sequences(3, 3):
-            assert_all_match(build_standard(seq))
+            assert_checks_match(build_standard(seq))
             count += 1
         assert count == 47988
 
@@ -92,24 +75,24 @@ class TestCorpora:
         realized = census_realizations()
         assert len(realized) == 636
         for glued in realized:
-            assert_all_match(glued)
+            assert_checks_match(glued)
 
     def test_criterion_9_documents(self):
         matrices = criterion_9_matrices()
         assert len(matrices) == 500
         for matrix in matrices:
-            assert_all_match(parse(dense_document(matrix)))
+            assert_checks_match(parse(dense_document(matrix)))
 
     @given(based_complexes())
     def test_degree_valid_complexes(self, complex):
-        assert_all_match(complex)
+        assert_checks_match(complex)
 
 
 @st.composite
 def raw_complexes(draw):
     """A ring, a few generators on small gradings, and an arrow list that may
     hold duplicates, unit and dead monomials, self-loops and ends one past
-    either end of the ids, with colors on some arrows."""
+    either end of the ids."""
     ring = draw(st.sampled_from([R1, R2, RINF]))
     count = draw(st.integers(1, 5))
     gens = tuple(
@@ -121,20 +104,13 @@ def raw_complexes(draw):
         ends = st.integers(-1, count)
     exponents = st.integers(0, 3)
     monomials = st.builds(Monomial, exponents, exponents)
-    arrows = draw(st.lists(st.builds(Arrow, ends, monomials, ends), max_size=8))
-    colored = draw(st.lists(st.sampled_from(arrows), max_size=3)) if arrows else []
-    return ring, gens, arrows, {a: "red" for a in colored}
+    return ring, gens, draw(st.lists(st.builds(Arrow, ends, monomials, ends), max_size=8))
 
 
 class TestRawArrows:
     @given(raw_complexes())
-    def test_make_complex(self, raw):
-        assert_made_alike(*raw)
-
-    @given(raw_complexes())
     def test_checks_on_any_arrow_set(self, raw):
-        ring, gens, arrows, colors = raw
-        assert_built_checks_match(ring, gens, arrows)
+        assert_built_checks_match(*raw)
 
     # Generators x0 (0, 0), x1 (1, 1) and x2 (-1, 1).
     GENERATORS = (
@@ -159,9 +135,7 @@ class TestRawArrows:
     @pytest.mark.parametrize("ring", [R1, R2, RINF])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_listed_faults(self, case, ring):
-        arrows = self.CASES[case]
-        assert_made_alike(ring, self.GENERATORS, arrows, {arrows[0]: "blue"})
-        assert_built_checks_match(ring, self.GENERATORS, arrows)
+        assert_built_checks_match(ring, self.GENERATORS, self.CASES[case])
 
 
 class TestUnknownGeneratorIds:
@@ -182,8 +156,6 @@ class TestUnknownGeneratorIds:
         complex = BasedComplex(RINF, gens, frozenset({link}))
         with pytest.raises(UnknownGeneratorError, match=message):
             add_arrows(complex, [arrow])
-        with pytest.raises(ConstructionError, match="references an unknown generator"):
-            make_complex(RINF, gens, [arrow, link])
         # With x1 -> x0 for its ends, the arrow is added and the ``kill``
         # quotient reads it: only the unknown end is refused.
         fixed = add_arrows(complex, [Arrow(1, Monomial(u, v), 0)])

@@ -34,10 +34,11 @@ from tunnelfill.builder import (
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import find_based_isomorphism, has_correct_homology
-from tunnelfill.rings import R1, R2, RINF, lift_to, make_complex
+from tunnelfill.rings import R1, R2, RINF, lift_to
 from tunnelfill.standard import build_extended
 from conftest import (
     id_of,
+    make_complex,
     reduce_to,
     sign_sequences,
     subcomplex,
@@ -235,6 +236,24 @@ class TestGluing:
         with_x0 = next(p for p in pieces if id_of(reduced, "x0") in p)
         part = subcomplex(reduced, with_x0)
         assert find_based_isomorphism(part, standard) is not None
+
+    @pytest.mark.parametrize(
+        "entries, placed, kept",
+        # Both have offset 0: in 1,-1 two sources reach both ends with the
+        # same monomial, in 1,-3 one does.
+        [((1, -1), 17, 13), ((1, -3), 16, 14)],
+    )
+    def test_coinciding_arrows_cancel(self, entries, placed, kept):
+        # glue places each arrow of the doubled complex once; an arrow placed
+        # twice is x + x = 0 and leaves the glued complex, color and all.
+        seq = SignSequence(entries)
+        doubled = double(extend_and_realize(seq, default_extension_params(seq)).complex)
+        glued = glue(doubled, seq)
+        assert len(doubled.arrows) == placed
+        assert len(glued.generators) == 9
+        assert len(glued.arrows) == kept
+        assert glued.colors.keys() == glued.arrows
+        assert differential_square(glued) == ()
 
     def test_arrow_off_the_placement_is_refused(self):
         # A second y2 -> x2 arrow one diagonal step longer than the blue one

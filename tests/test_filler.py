@@ -23,9 +23,9 @@ from tunnelfill import (
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import fill_links, forced_response, partial_realize
-from tunnelfill.rings import R1, R2, add_arrows, lift_to, make_complex
+from tunnelfill.rings import R1, R2, add_arrows, lift_to
 from tunnelfill.standard import build_extended
-from conftest import all_paths, id_of, one_arrow_at_a_time, reduce_to, sign_sequences
+from conftest import all_paths, id_of, make_complex, one_arrow_at_a_time, reduce_to, sign_sequences
 
 
 def run(*entries):

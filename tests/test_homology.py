@@ -32,7 +32,7 @@ from tunnelfill.homology import (
     has_correct_homology,
     quotient_complex,
 )
-from tunnelfill.rings import R1, RINF, Arrow, make_complex
+from tunnelfill.rings import R1, RINF, Arrow
 from conftest import (
     census_realizations,
     conjugate,
@@ -44,6 +44,7 @@ from conftest import (
     isomorphism_by_permutations,
     layered_probe,
     long_symmetric_sequence,
+    make_complex,
     random_small_complex,
     reference_isomorphism,
     relabelled,

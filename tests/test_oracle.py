@@ -22,9 +22,9 @@ from tunnelfill import (
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.oracle import candidate_arrows
-from tunnelfill.rings import R2, add_arrows, lift_to, make_complex
+from tunnelfill.rings import R2, add_arrows, lift_to
 from tunnelfill.standard import build_extended
-from conftest import added_arrows, is_diagonal, pairwise_candidates, sign_sequences
+from conftest import added_arrows, is_diagonal, make_complex, pairwise_candidates, sign_sequences
 
 
 def level_two(*entries):

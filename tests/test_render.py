@@ -15,8 +15,8 @@ from tunnelfill import (
     render_svg,
 )
 from tunnelfill.lattice import lattice_positions
-from tunnelfill.rings import R1, RINF, make_complex
-from conftest import census_realizations
+from tunnelfill.rings import R1, RINF
+from conftest import census_realizations, make_complex
 
 
 class TestPositions:

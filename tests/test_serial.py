@@ -29,12 +29,13 @@ from tunnelfill import (
     serialize,
 )
 from tunnelfill.builder import extend_and_realize
-from tunnelfill.rings import R1, RINF, RingLevel, make_complex
+from tunnelfill.rings import R1, RINF, RingLevel
 from tunnelfill.serial import NAMED_RINGS
 from tunnelfill.standard import build_extended
 from conftest import (
     UNREADABLE_DOCUMENTS,
     json_values,
+    make_complex,
     near_documents,
     reference_serialize,
     sign_sequences,
