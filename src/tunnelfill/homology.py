@@ -28,9 +28,10 @@ from .rings import BasedComplex
 # two-vertex cell only.
 SEARCH_BUDGET = 1 << 10
 
-# The largest power a block may hold and still be eliminated. Elimination
-# time grows with the square of the degree, and no block built from a sign
-# sequence needs it, so only a hand-written document can reach this bound.
+# The largest power a block may hold and still be eliminated. It caps only
+# the powers, not the work: a dense 40x40 block with powers below 64 took
+# 13.7 s (ROADMAP item 3). No block built from a sign sequence needs it, so
+# only a hand-written document can reach this bound.
 ELIMINATION_DEGREE_BOUND = 4096
 
 

@@ -1,5 +1,8 @@
 """Exact arithmetic for free bigraded based modules over F2[U, V] / (U^i V^i).
 
+A ring is named by its truncation level i; F2[U, V] itself has level
+infinity, where no monomial is zero.
+
 Everything is immutable. A complex is a finite generator list with integer
 bigradings plus a set of arrows; an arrow (source, U^a V^b, target) records a
 coefficient-1 term of the differential. Coefficients live in F2, so presence
@@ -12,7 +15,8 @@ every arrow-set operation does run in C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -24,35 +28,27 @@ from .errors import (
 
 @dataclass(frozen=True, order=True)
 class RingLevel:
-    """Truncation level i of F2[U,V]/(U^i V^i); ``None`` means no truncation.
+    """Truncation level i of F2[U,V]/(U^i V^i); the untruncated ring has
+    level ``math.inf``.
 
-    The ordering places every finite level below the untruncated ring, so
-    ``a <= b`` means "b remembers at least as much as a".
+    U^u V^v is zero exactly when min(u, v) >= level, so the full ring needs
+    no special case, and ``a <= b`` means "b remembers at least as much as a".
     """
 
-    # sort_index makes the infinite level compare above every finite one;
-    # it is the only field used for ordering and equality.
-    sort_index: int = field(init=False, repr=False)
-    level: int | None = field(default=None, compare=False)
+    level: int | float
 
     def __post_init__(self):
-        if self.level is not None and self.level < 1:
+        # Written as a negation so that NaN, which compares false, is refused.
+        if not self.level >= 1:
             raise ConstructionError(f"ring level must be >= 1, got {self.level}")
-        object.__setattr__(
-            self, "sort_index", self.level if self.level is not None else 1 << 62
-        )
-
-    @property
-    def is_finite(self) -> bool:
-        return self.level is not None
 
     def __str__(self) -> str:
-        return f"R{self.level}" if self.is_finite else "Rinf"
+        return "Rinf" if self.level == math.inf else f"R{self.level}"
 
 
 R1 = RingLevel(1)
 R2 = RingLevel(2)
-RINF = RingLevel(None)
+RINF = RingLevel(math.inf)
 
 
 class _MonomialFields(NamedTuple):
@@ -81,7 +77,7 @@ class Monomial(_MonomialFields):
         return Monomial.of(self.u + other.u, self.v + other.v)
 
     def is_zero_in(self, ring: RingLevel) -> bool:
-        return ring.is_finite and min(self.u, self.v) >= ring.level
+        return min(self.u, self.v) >= ring.level
 
     @property
     def min_exp(self) -> int:
@@ -249,9 +245,7 @@ def add_arrows(
 
 def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     """Reinterpret the same arrows over a larger quotient."""
-    # The same test as target < complex.ring, without the generated __lt__:
-    # every census oracle cross-check and every double lifts once.
-    if target.sort_index < complex.ring.sort_index:
+    if target.level < complex.ring.level:
         raise InvalidLiftError(
             f"cannot lift {complex.ring} to the smaller ring {target}"
         )
@@ -274,7 +268,7 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
         for second in seconds:
             m2 = second.monomial
             u, v = m1.u + m2.u, m1.v + m2.v
-            if level is None or u < level or v < level:
+            if u < level or v < level:
                 terms ^= {(s, Monomial.of(u, v), second.target)}
     return tuple(sorted(terms))
 

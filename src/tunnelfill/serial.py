@@ -15,7 +15,7 @@ from .errors import ConstructionError, DocumentError, SequenceParseError
 from .rings import R1, R2, RINF, Arrow, BasedComplex, Generator, Grading, Monomial
 from .standard import ExtendedSignSequence, SignSequence
 
-RING_NAMES = {R1: "R1", R2: "R2", RINF: "Rinf"}
+RING_NAMES = {ring: str(ring) for ring in (R1, R2, RINF)}
 NAMED_RINGS = {name: ring for ring, name in RING_NAMES.items()}
 
 
@@ -177,7 +177,7 @@ def parse_document(doc: Any) -> BasedComplex:
             raise DocumentError(f"arrow {i}: unknown generator {entry['to']!r}") from None
         if not u and not v:
             raise DocumentError(f"arrow {i}: the unit monomial is not a legal arrow")
-        if level is not None and u >= level and v >= level:
+        if u >= level and v >= level:
             raise DocumentError(
                 f"arrow {i}: monomial {Monomial(u, v)} is zero in {doc['ring']}"
             )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -64,14 +65,17 @@ class TestMonomialZero:
                     assert Monomial(a, b).is_zero_in(ring) == (min(a, b) >= i)
 
     def test_never_zero_in_full_ring(self):
-        for a in range(7):
-            for b in range(7):
+        for a in [*range(7), 2**70, 10**400]:
+            for b in [*range(7), 2**70, 10**400]:
                 assert not Monomial(a, b).is_zero_in(RINF)
 
     def test_ring_ordering(self):
         assert R1 < R2 < RINF
         assert RingLevel(5) < RINF
         assert not RINF < RINF
+        assert RINF == RingLevel(math.inf)
+        assert RingLevel(1 << 62) != RINF
+        assert RingLevel(1 << 63) < RINF
 
 
 class TestMonomialInterning:
@@ -122,6 +126,10 @@ class TestReduceLift:
     def test_lift_to_same_level_is_identity(self):
         c = seq(1, 1)
         assert lift_to(c, R1) == c
+
+    def test_lift_from_a_level_past_2_62_to_the_full_ring(self):
+        c = make_complex(RingLevel(1 << 63), [Generator("x", Grading(0, 0))], [])
+        assert lift_to(c, RINF).ring == RINF
 
     def test_lift_below_current_level_rejected(self):
         with pytest.raises(InvalidLiftError):
@@ -283,6 +291,8 @@ class TestConstruction:
     def test_ring_level_below_one_rejected(self):
         with pytest.raises(ConstructionError, match="ring level must be >= 1, got 0"):
             RingLevel(0)
+        with pytest.raises(ConstructionError, match="ring level must be >= 1, got nan"):
+            RingLevel(math.nan)
 
     def test_adding_a_present_arrow_removes_it_and_its_color(self):
         c = lift_to(seq(1, 1), R2)

@@ -286,6 +286,13 @@ class TestSerializeLayout:
         with pytest.raises(DocumentError, match="^no document name for ring level R3$"):
             serialize(c)
 
+    def test_ring_past_2_62_is_not_the_full_ring(self):
+        c = make_complex(RingLevel(1 << 62), [Generator("x", Grading(0, 0))], [])
+        with pytest.raises(
+            DocumentError, match="^no document name for ring level R4611686018427387904$"
+        ):
+            serialize(c)
+
     def test_empty_lists_and_escapes(self):
         empty = serialize(BasedComplex(R1, (), frozenset()))
         assert empty == '{\n  "ring": "R1",\n  "generators": [],\n  "arrows": []\n}\n'
