@@ -22,7 +22,7 @@ from collections import Counter
 from .builder import ExtensionParams, realize
 from .census import census_rows, cross_check_with_oracle, write_census_csv
 from .errors import DocumentError, TunnelFillError
-from .filler import NotRealizable, PartialRealization, decide
+from .filler import NotRealizable, decide
 from .homology import check_correct_homology, check_symmetry
 from .render import render_svg
 from .rings import degree_violations, differential_square
@@ -83,59 +83,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cause_text(complex, cause) -> str:
     x, mono, y = cause
-    return f"d²{complex.generator(x).name} term {mono} {complex.generator(y).name}"
+    gens = complex.generators
+    return f"d²{gens[x].name} term {mono} {gens[y].name}"
+
+
+def _obstruction_lines(outcome: NotRealizable) -> list[str]:
+    """The headline naming the first obstruction, then one line per obstruction."""
+    cx = outcome.partial_progress
+    first = outcome.obstructions[0]
+    lines = [f"NOT_REALIZABLE: obstruction at {_cause_text(cx, first.cause)}"]
+    lines += [f"  {o.reason} at {_cause_text(cx, o.cause)}" for o in outcome.obstructions]
+    return lines
 
 
 def _decide(args) -> int:
-    seq = parse_sequence(args.sequence)
-    outcome = decide(seq)
-    if isinstance(outcome, PartialRealization):
-        cx = outcome.complex
-        if args.json:
-            report = {
-                "sequence": args.sequence.strip(),
-                "decision": "REALIZABLE",
-                "arrows_added": len(outcome.added),
-                "added": [
-                    {
-                        "from": cx.generator(e.added.source).name,
-                        "to": cx.generator(e.added.target).name,
-                        "u": e.added.monomial.u,
-                        "v": e.added.monomial.v,
-                        "case": e.case_tag,
-                    }
-                    for e in outcome.added
-                ],
-            }
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"REALIZABLE: {len(outcome.added)} arrows added")
-            for e in outcome.added:
-                print(
-                    f"  added {cx.generator(e.added.source).name} -> "
-                    f"{e.added.monomial} {cx.generator(e.added.target).name} "
-                    f"({e.case_tag}, forced by {_cause_text(cx, e.cause)})"
-                )
-    else:
+    outcome = decide(parse_sequence(args.sequence))
+    report = {"sequence": args.sequence.strip()}
+    if isinstance(outcome, NotRealizable):
         cx = outcome.partial_progress
-        if args.json:
-            report = {
-                "sequence": args.sequence.strip(),
-                "decision": "NOT_REALIZABLE",
-                "obstructions": [
-                    {
-                        "at": _cause_text(cx, o.cause),
-                        "reason": o.reason,
-                    }
-                    for o in outcome.obstructions
-                ],
-            }
-            print(json.dumps(report, indent=2))
-        else:
-            first = outcome.obstructions[0]
-            print(f"NOT_REALIZABLE: obstruction at {_cause_text(cx, first.cause)}")
-            for o in outcome.obstructions:
-                print(f"  {o.reason} at {_cause_text(cx, o.cause)}")
+        obstructions = [
+            {"at": _cause_text(cx, o.cause), "reason": o.reason} for o in outcome.obstructions
+        ]
+        report.update(decision="NOT_REALIZABLE", obstructions=obstructions)
+        lines = _obstruction_lines(outcome)
+    else:
+        cx = outcome.complex
+        report.update(decision="REALIZABLE", arrows_added=len(outcome.added), added=[])
+        lines = [f"REALIZABLE: {len(outcome.added)} arrows added"]
+        for e in outcome.added:
+            mono = e.added.monomial
+            source = cx.generators[e.added.source].name
+            target = cx.generators[e.added.target].name
+            report["added"].append(
+                {"from": source, "to": target, "u": mono.u, "v": mono.v, "case": e.case_tag}
+            )
+            lines.append(
+                f"  added {source} -> {mono} {target} "
+                f"({e.case_tag}, forced by {_cause_text(cx, e.cause)})"
+            )
+    print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
     return 0
 
 
@@ -152,9 +138,7 @@ def _realize(args) -> int:
         params = ExtensionParams(args.n1, args.n2)
     result = realize(seq, params)
     if isinstance(result, NotRealizable):
-        cx = result.partial_progress
-        first = result.obstructions[0]
-        print(f"NOT_REALIZABLE: obstruction at {_cause_text(cx, first.cause)}")
+        print(_obstruction_lines(result)[0])
         return 0
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(serialize(result, include_colors=True))

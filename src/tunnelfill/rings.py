@@ -38,9 +38,12 @@ class RingLevel:
     level: int | float
 
     def __post_init__(self):
-        # Written as a negation so that NaN, which compares false, is refused.
-        if not self.level >= 1:
-            raise ConstructionError(f"ring level must be >= 1, got {self.level}")
+        # type() rather than isinstance() also refuses bools; NaN fails both tests.
+        level = self.level
+        if not (level == math.inf or (type(level) is int and level >= 1)):
+            raise ConstructionError(
+                f"ring level must be >= 1, got {level!r} (an int or math.inf)"
+            )
 
     def __str__(self) -> str:
         return "Rinf" if self.level == math.inf else f"R{self.level}"
@@ -206,11 +209,6 @@ class BasedComplex:
         fields["generators"] = generators
         fields["arrows"] = arrows
         fields["colors"] = {} if colors is None else colors
-
-    def generator(self, gid: int) -> Generator:
-        if not 0 <= gid < len(self.generators):
-            raise UnknownGeneratorError(f"no generator with id {gid}")
-        return self.generators[gid]
 
     # Read with .get(gid, ()) and never mutated; each list keeps the arrow
     # set's iteration order, so a caller that needs an order sorts.

@@ -319,8 +319,8 @@ def row_from_outcome(seq: SignSequence) -> CensusRow:
     first = outcome.obstructions[0]
     x, mono, y = first.cause
     reason = (
-        f"{first.reason} at d2 {progress.generator(x).name} "
-        f"term {mono} {progress.generator(y).name}"
+        f"{first.reason} at d2 {progress.generators[x].name} "
+        f"term {mono} {progress.generators[y].name}"
     )
     return CensusRow(seq, "NOT_REALIZABLE", added, reason, ())
 
@@ -328,10 +328,10 @@ def row_from_outcome(seq: SignSequence) -> CensusRow:
 def named_arrows(complex: BasedComplex) -> set[tuple[str, int, int, str]]:
     return {
         (
-            complex.generator(a.source).name,
+            complex.generators[a.source].name,
             a.monomial.u,
             a.monomial.v,
-            complex.generator(a.target).name,
+            complex.generators[a.target].name,
         )
         for a in complex.arrows
     }
@@ -519,8 +519,8 @@ def to_document(complex: BasedComplex, include_colors: bool = False) -> dict[str
     arrows = []
     for a in sorted(complex.arrows):
         entry: dict[str, Any] = {
-            "from": complex.generator(a.source).name,
-            "to": complex.generator(a.target).name,
+            "from": complex.generators[a.source].name,
+            "to": complex.generators[a.target].name,
             "u": a.monomial.u,
             "v": a.monomial.v,
         }

@@ -116,14 +116,14 @@ def test_criterion_2_worked_examples():
     assert isinstance(outcome, NotRealizable)
     c = outcome.partial_progress
     added = {
-        (c.generator(a.source).name, a.monomial.u, a.monomial.v,
-         c.generator(a.target).name)
+        (c.generators[a.source].name, a.monomial.u, a.monomial.v,
+         c.generators[a.target].name)
         for a in c.arrows
         if c.colors.get(a) == "added"
     }
     assert added == {("x3", 1, 1, "x0"), ("x6", 1, 1, "x3")}
     witness = [
-        (c.generator(o.cause[0]).name, o.cause[1], c.generator(o.cause[2]).name)
+        (c.generators[o.cause[0]].name, o.cause[1], c.generators[o.cause[2]].name)
         for o in outcome.obstructions
     ]
     assert witness == [("x6", Monomial(3, 1), "x2")]
@@ -132,8 +132,8 @@ def test_criterion_2_worked_examples():
     assert isinstance(outcome, PartialRealization)
     c = outcome.complex
     added = [
-        (c.generator(e.added.source).name, e.added.monomial.u,
-         e.added.monomial.v, c.generator(e.added.target).name)
+        (c.generators[e.added.source].name, e.added.monomial.u,
+         e.added.monomial.v, c.generators[e.added.target].name)
         for e in outcome.added
     ]
     assert added == [("x3", 1, 1, "x0"), ("x6", 1, 2, "x3")]

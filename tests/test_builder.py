@@ -66,8 +66,8 @@ class TestExtension:
         lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
         c = lifted.complex
         added = {
-            (c.generator(e.added.source).name, e.added.monomial.u,
-             e.added.monomial.v, c.generator(e.added.target).name)
+            (c.generators[e.added.source].name, e.added.monomial.u,
+             e.added.monomial.v, c.generators[e.added.target].name)
             for e in lifted.added
         }
         assert added == {
@@ -118,8 +118,8 @@ class TestDoubling:
         assert len(c.generators) == 2 * len(lifted.complex.generators)
 
         greens = sorted(
-            (c.generator(a.source).name, a.monomial.u, a.monomial.v,
-             c.generator(a.target).name)
+            (c.generators[a.source].name, a.monomial.u, a.monomial.v,
+             c.generators[a.target].name)
             for a in c.arrows
             if c.colors.get(a) == "green"
         )
@@ -132,7 +132,7 @@ class TestDoubling:
         assert len(blues) == len(lifted.complex.generators)
         for a in blues:
             assert (a.monomial.u, a.monomial.v) == (1, 1)
-            assert c.generator(a.source).name == "y" + c.generator(a.target).name[1:]
+            assert c.generators[a.source].name == "y" + c.generators[a.target].name[1:]
 
     def test_doubled_gradings_shift_by_one_one(self):
         lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
@@ -214,7 +214,7 @@ class TestGluing:
         glued = realize(EXAMPLE)
         z = id_of(glued, "z")
         into_z = sorted(
-            glued.generator(a.source).name for a in glued.arrows if a.target == z
+            glued.generators[a.source].name for a in glued.arrows if a.target == z
         )
         assert into_z == ["x0", "x4", "x6", "y-1", "y7"]
         assert not [a for a in glued.arrows if a.source == z]

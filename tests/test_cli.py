@@ -42,6 +42,29 @@ class TestDecide:
             ("x3", "x0"),
             ("x6", "x3"),
         }
+        assert out.splitlines() == [
+            "{",
+            '  "sequence": "-1,1,2,-1,1,3",',
+            '  "decision": "REALIZABLE",',
+            '  "arrows_added": 2,',
+            '  "added": [',
+            "    {",
+            '      "from": "x3",',
+            '      "to": "x0",',
+            '      "u": 1,',
+            '      "v": 1,',
+            '      "case": "horizontal-first"',
+            "    },",
+            "    {",
+            '      "from": "x6",',
+            '      "to": "x3",',
+            '      "u": 1,',
+            '      "v": 2,',
+            '      "case": "vertical-first"',
+            "    }",
+            "  ]",
+            "}",
+        ]
 
     def test_obstructed_json_report(self, capsys):
         code, out, err = run(capsys, "decide", "-s", "-1,1,2,-1,1,2", "--json")
@@ -167,6 +190,7 @@ class TestRealizeVerifyRender:
         code, out, _ = run(capsys, "realize", "-s", "1,1", "-o", str(doc))
         assert code == 0
         assert out.startswith("NOT_REALIZABLE")
+        assert out == "NOT_REALIZABLE: obstruction at d²x2 term U^1V^1 x0\n"
         assert not doc.exists()
 
     def test_explicit_lengths_too_short_are_an_error(self, capsys, tmp_path):

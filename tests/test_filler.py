@@ -36,10 +36,10 @@ def added_by_name(outcome):
     c = outcome.complex
     return [
         (
-            c.generator(e.added.source).name,
+            c.generators[e.added.source].name,
             e.added.monomial.u,
             e.added.monomial.v,
-            c.generator(e.added.target).name,
+            c.generators[e.added.target].name,
             e.case_tag,
         )
         for e in outcome.added
@@ -50,10 +50,10 @@ def obstructions_by_name(outcome):
     c = outcome.partial_progress
     return [
         (
-            c.generator(o.cause[0]).name,
+            c.generators[o.cause[0]].name,
             o.cause[1].u,
             o.cause[1].v,
-            c.generator(o.cause[2]).name,
+            c.generators[o.cause[2]].name,
             o.reason,
         )
         for o in outcome.obstructions
@@ -66,7 +66,7 @@ class TestWorkedExamples:
         assert isinstance(outcome, NotRealizable)
         c = outcome.partial_progress
         added = {
-            (c.generator(a.source).name, a.monomial.u, a.monomial.v, c.generator(a.target).name)
+            (c.generators[a.source].name, a.monomial.u, a.monomial.v, c.generators[a.target].name)
             for a in c.arrows
             if c.colors.get(a) == "added"
         }
@@ -181,9 +181,9 @@ class TestOrderIndependence:
         # Stage 1 adds the first four arrows, stage 2 the last.
         outcome = decide(SignSequence((-1, 1, 2, -1, 1, 3) * 2))
         assert isinstance(outcome, PartialRealization)
-        name = outcome.complex.generator
+        gens = outcome.complex.generators
         causes = [
-            (name(x).name, m.u, m.v, name(y).name)
+            (gens[x].name, m.u, m.v, gens[y].name)
             for x, m, y in (e.cause for e in outcome.added)
         ]
         assert list(zip(added_by_name(outcome), causes)) == [

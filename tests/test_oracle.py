@@ -38,7 +38,7 @@ class TestCandidates:
     def test_staircase_candidates_include_the_forced_pair(self):
         c = level_two(-1, 1, 2, -1, 1, 2)
         cands = {
-            (c.generator(a.source).name, a.monomial.u, a.monomial.v, c.generator(a.target).name)
+            (c.generators[a.source].name, a.monomial.u, a.monomial.v, c.generators[a.target].name)
             for a in candidate_arrows(c)
         }
         assert {("x3", 1, 1, "x0"), ("x6", 1, 1, "x3")} <= cands
@@ -112,7 +112,7 @@ class TestOracleDecisions:
         result = oracle_decide(c)
         assert result.realizable
         required = {
-            (c.generator(a.source).name, a.monomial.u, a.monomial.v, c.generator(a.target).name)
+            (c.generators[a.source].name, a.monomial.u, a.monomial.v, c.generators[a.target].name)
             for a in result.forced
         }
         assert {("x3", 1, 1, "x0"), ("x6", 1, 2, "x3")} <= required

@@ -82,7 +82,7 @@ class TestShapes:
         ext = ExtendedSignSequence(2, SignSequence((2, -2, -1, 1, 3, -1)), -1)
         c = build_extended(ext)
         pos = lattice_positions(c)
-        x = {c.generator(i).name: pos[i] for i in pos}
+        x = {c.generators[i].name: pos[i] for i in pos}
         origin = x["x0"]
         deltas = {
             name: (p[0] - origin[0], p[1] - origin[1]) for name, p in x.items()
