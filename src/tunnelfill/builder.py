@@ -220,8 +220,11 @@ def realize(
     local equivalence class with the homology contract.
 
     Returns the tunnel filler's NotRealizable outcome otherwise. Raises
-    ExtensionError or PlacementError when explicit ``params`` do not work.
+    ExtensionError or PlacementError when explicit ``params`` do not work,
+    and ConstructionError for an extended sequence.
     """
+    if isinstance(seq, ExtendedSignSequence):
+        raise ConstructionError("realize expects a plain sequence, not an extended one")
     if fill_links(chain_links(seq.entries, 0))[2]:
         # An obstruction: decide again, building the outcome the caller reads.
         return decide(seq)

@@ -18,18 +18,22 @@ CSV_HEADER = ("sequence", "decision", "arrows_added", "obstruction_reason")
 
 @dataclass(frozen=True, slots=True)
 class CensusRow:
-    """One decided sequence. ``added`` holds the filler's added arrows in
-    event order when the row is realizable, and is empty otherwise."""
+    """One decided sequence, realizable exactly when it has no obstruction
+    reason. ``added`` holds the filler's added arrows in event order when
+    the row is realizable, and is empty otherwise."""
 
     sequence: SignSequence
-    decision: str
     arrows_added: int
     obstruction_reason: str | None
     added: tuple[Arrow, ...]
 
     @property
     def realizable(self) -> bool:
-        return self.decision == "REALIZABLE"
+        return self.obstruction_reason is None
+
+    @property
+    def decision(self) -> str:
+        return "REALIZABLE" if self.obstruction_reason is None else "NOT_REALIZABLE"
 
 
 def census_sequences(n_max: int, a_max: int) -> Iterator[SignSequence]:
@@ -51,11 +55,11 @@ def decide_row(seq: SignSequence) -> CensusRow:
     row. The reason names x_k by its id k in the standard chain."""
     _, added, obstructions = fill_links(chain_links(seq.entries, 0))
     if not obstructions:
-        return CensusRow(seq, "REALIZABLE", len(added), None, tuple(added))
+        return CensusRow(seq, len(added), None, tuple(added))
     first = obstructions[0]
     x, mono, y = first.cause
     reason = f"{first.reason} at d2 x{x} term {mono} x{y}"
-    return CensusRow(seq, "NOT_REALIZABLE", len(added), reason, ())
+    return CensusRow(seq, len(added), reason, ())
 
 
 def census_rows(n_max: int, a_max: int) -> Iterator[CensusRow]:

@@ -173,32 +173,25 @@ def _verify(args) -> int:
 
     failures = 0
     for check in wanted:
+        # ``bad`` is the failing evidence, falsy when the check passes.
         if check == "d2":
-            square = differential_square(complex)
-            ok = not square
-            detail = "" if ok else f" ({len(square)} nonzero terms)"
+            bad = differential_square(complex)
+            detail = f"{len(bad)} nonzero terms"
         elif check == "degree":
             bad = degree_violations(complex)
-            ok = not bad
-            detail = "" if ok else f" ({len(bad)} violating arrows)"
+            detail = f"{len(bad)} violating arrows"
         elif check == "homology":
             u_side, v_side = check_correct_homology(complex)
-            ok = u_side.verdict and v_side.verdict
+            bad = not (u_side.verdict and v_side.verdict)
             detail = (
-                ""
-                if ok
-                else (
-                    f" (free ranks {u_side.free_rank_total}/{v_side.free_rank_total},"
-                    f" gradings {u_side.free_generator_grading}/"
-                    f"{v_side.free_generator_grading})"
-                )
+                f"free ranks {u_side.free_rank_total}/{v_side.free_rank_total}, gradings "
+                f"{u_side.free_generator_grading}/{v_side.free_generator_grading}"
             )
         else:
-            witness = check_symmetry(complex)
-            ok = witness is not None
-            detail = "" if ok else " (no based isomorphism onto the conjugate)"
-        failures += not ok
-        print(f"{check}: {'PASS' if ok else 'FAIL'}{detail}")
+            bad = check_symmetry(complex) is None
+            detail = "no based isomorphism onto the conjugate"
+        failures += bool(bad)
+        print(f"{check}: FAIL ({detail})" if bad else f"{check}: PASS")
     print(f"{len(wanted) - failures}/{len(wanted)} checks passed")
     return 0
 
@@ -215,7 +208,7 @@ def _census(args) -> int:
         for row in rows:
             if row.realizable:
                 forced[row.arrows_added] += 1
-            elif row.obstruction_reason:
+            else:
                 reasons[row.obstruction_reason.split(" at ")[0]] += 1
             if args.oracle:
                 complaint = cross_check_with_oracle(row)

@@ -76,7 +76,10 @@ class HomologyReport:
     free_rank_total: int
     free_generator_grading: int | None
     torsion_orders: tuple[tuple[int, tuple[int, ...]], ...]
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.free_rank_total == 1 and self.free_generator_grading == 0
 
 
 def quotient_complex(complex: BasedComplex, kill: str) -> QuotientChain:
@@ -151,14 +154,7 @@ def homology_report(chain: QuotientChain) -> HomologyReport:
             free_grading = k
     if free_total != 1:
         free_grading = None
-    verdict = free_total == 1 and free_grading == 0
-    return HomologyReport(
-        chain.killed,
-        free_total,
-        free_grading,
-        tuple(sorted(torsion.items())),
-        verdict,
-    )
+    return HomologyReport(chain.killed, free_total, free_grading, tuple(sorted(torsion.items())))
 
 
 def check_correct_homology(

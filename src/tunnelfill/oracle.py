@@ -59,10 +59,13 @@ class OracleResult:
     level-2 ring, or None when there is none; ``forced`` holds the
     candidates present in every such subset (empty when there is none)."""
 
-    realizable: bool
     candidates: tuple[Arrow, ...]
     forced: frozenset[Arrow]
     witness: frozenset[Arrow] | None
+
+    @property
+    def realizable(self) -> bool:
+        return self.witness is not None
 
 
 def _reduce(pivots: dict[int, tuple[int, int]], mask: int, subset: int) -> tuple[int, int]:
@@ -111,11 +114,9 @@ def oracle_decide(complex: BasedComplex) -> OracleResult:
 
     rest, solution = _reduce(pivots, base_mask, 0)
     if rest:
-        return OracleResult(False, candidates, frozenset(), None)
+        return OracleResult(candidates, frozenset(), None)
 
     def arrows_of(mask: int) -> frozenset[Arrow]:
         return frozenset(a for i, a in enumerate(candidates) if mask >> i & 1)
 
-    return OracleResult(
-        True, candidates, arrows_of(solution & ~in_kernel), arrows_of(solution)
-    )
+    return OracleResult(candidates, arrows_of(solution & ~in_kernel), arrows_of(solution))

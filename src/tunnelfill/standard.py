@@ -32,6 +32,16 @@ from .rings import (
 )
 
 
+def _require_integers(values: tuple) -> None:
+    # Any float makes the sum a float, and a string or None makes it raise.
+    try:
+        integral = type(sum(values)) is int
+    except TypeError:
+        integral = False
+    if not integral:
+        raise ConstructionError("sign sequence entries must be integers")
+
+
 @dataclass(frozen=True)
 class SignSequence:
     entries: tuple[int, ...]
@@ -44,6 +54,7 @@ class SignSequence:
             raise ConstructionError(
                 f"sign sequence needs positive even length, got {len(entries)}"
             )
+        _require_integers(entries)
         if 0 in entries:
             raise ConstructionError("sign sequence entries must be nonzero")
         object.__setattr__(self, "entries", entries)
@@ -69,6 +80,7 @@ class ExtendedSignSequence:
     tail: int
 
     def __post_init__(self):
+        _require_integers((self.head, self.tail))
         if self.head == 0 or self.tail == 0:
             raise ConstructionError("extension entries must be nonzero")
 

@@ -313,7 +313,7 @@ def row_from_outcome(seq: SignSequence) -> CensusRow:
     outcome = partial_realize(build_standard(seq))
     if isinstance(outcome, PartialRealization):
         arrows = tuple(e.added for e in outcome.added)
-        return CensusRow(seq, "REALIZABLE", len(arrows), None, arrows)
+        return CensusRow(seq, len(arrows), None, arrows)
     progress = outcome.partial_progress
     added = len(progress.arrows) - len(seq.entries)
     first = outcome.obstructions[0]
@@ -322,7 +322,7 @@ def row_from_outcome(seq: SignSequence) -> CensusRow:
         f"{first.reason} at d2 {progress.generators[x].name} "
         f"term {mono} {progress.generators[y].name}"
     )
-    return CensusRow(seq, "NOT_REALIZABLE", added, reason, ())
+    return CensusRow(seq, added, reason, ())
 
 
 def named_arrows(complex: BasedComplex) -> set[tuple[str, int, int, str]]:
@@ -478,9 +478,7 @@ def eliminated_reports(complex: BasedComplex) -> tuple[HomologyReport, ...]:
         total = sum(free.values())
         grading = max(free) if total == 1 else None
         reports.append(
-            HomologyReport(
-                kill, total, grading, tuple(sorted(torsion.items())), grading == 0
-            )
+            HomologyReport(kill, total, grading, tuple(sorted(torsion.items())))
         )
     return tuple(reports)
 

@@ -1,11 +1,12 @@
 """The public API: what ``from tunnelfill import *`` binds, and the README
 and script code that reaches the package through it."""
 
+import dataclasses
 import runpy
 from pathlib import Path
 
 import tunnelfill
-from tunnelfill import PartialRealization
+from tunnelfill import CensusRow, HomologyReport, OracleResult, PartialRealization
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,3 +61,23 @@ def test_render_examples_writes_nine_diagrams(tmp_path, capsys):
     assert script["main"](["--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("*.svg"))) == 9
     assert capsys.readouterr().out.endswith(f"diagrams written to {tmp_path}/\n")
+
+
+def test_results_keep_their_evidence_and_read_their_verdicts_off_it():
+    def names(record):
+        return [f.name for f in dataclasses.fields(record)]
+
+    assert names(HomologyReport) == [
+        "killed", "free_rank_total", "free_generator_grading", "torsion_orders"
+    ]
+    assert names(OracleResult) == ["candidates", "forced", "witness"]
+    assert names(CensusRow) == ["sequence", "arrows_added", "obstruction_reason", "added"]
+
+    assert HomologyReport("U", 1, 0, ()).verdict
+    assert not HomologyReport("U", 1, 2, ()).verdict
+    assert not HomologyReport("U", 3, None, ()).verdict
+    assert OracleResult((), frozenset(), frozenset()).realizable
+    assert not OracleResult((), frozenset(), None).realizable
+    sequence = tunnelfill.SignSequence((1, 1))
+    assert CensusRow(sequence, 0, None, ()).decision == "REALIZABLE"
+    assert CensusRow(sequence, 0, "no-adjacent-arrow at d2", ()).decision == "NOT_REALIZABLE"

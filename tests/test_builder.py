@@ -76,6 +76,11 @@ class TestExtension:
             ("x4", 1, 4, "x-1"),
         }
 
+    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0)])
+    def test_nonpositive_lengths_rejected(self, n1, n2):
+        with pytest.raises(ConstructionError, match="^extension lengths must be positive$"):
+            ExtensionParams(n1, n2)
+
     def test_parameters_below_the_bound_rejected(self):
         with pytest.raises(ConstructionError):
             extend_and_realize(EXAMPLE, ExtensionParams(1, 4))
@@ -307,6 +312,21 @@ class TestRealize:
         glued = realize(SignSequence((1, -1)))
         assert differential_square(glued) == ()
         assert has_correct_homology(glued)
+
+    @pytest.mark.parametrize(
+        "ext",
+        [
+            # Once an AttributeError on max_abs.
+            ExtendedSignSequence(4, SignSequence((2, 2)), -4),
+            # Once pre-checked as the chain 1,1,1,-1.
+            ExtendedSignSequence(1, SignSequence((1, 1)), -1),
+        ],
+    )
+    def test_an_extended_sequence_is_refused(self, ext):
+        with pytest.raises(
+            ConstructionError, match="^realize expects a plain sequence, not an extended one$"
+        ):
+            realize(ext)
 
     def test_not_realizable_is_forwarded(self):
         outcome = realize(SignSequence((1, 1)))

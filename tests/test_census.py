@@ -100,12 +100,12 @@ class TestCrossCheck:
 
     def test_a_flipped_decision_is_caught(self):
         row = decide_row(STAIRCASE)
-        flipped = dataclasses.replace(row, decision="NOT_REALIZABLE", added=())
+        flipped = dataclasses.replace(row, obstruction_reason="…", added=())
         assert cross_check_with_oracle(flipped) == (
             f"{STAIRCASE}: algorithm says NOT_REALIZABLE, oracle says REALIZABLE"
         )
         row = decide_row(BLOCKED)
-        flipped = dataclasses.replace(row, decision="REALIZABLE")
+        flipped = dataclasses.replace(row, obstruction_reason=None)
         assert cross_check_with_oracle(flipped) == (
             f"{BLOCKED}: algorithm says REALIZABLE, oracle says NOT_REALIZABLE"
         )

@@ -163,6 +163,34 @@ class TestRealizeVerifyRender:
         assert code == 0
         assert "symmetry: FAIL" in out
 
+    def test_every_failure_line(self, capsys, tmp_path):
+        doc = tmp_path / "bad.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "ring": "Rinf",
+                    "generators": [
+                        {"name": "a", "gr": [0, 0]},
+                        {"name": "b", "gr": [5, 1]},
+                        {"name": "c", "gr": [3, 7]},
+                    ],
+                    "arrows": [
+                        {"from": "a", "to": "b", "u": 1, "v": 1},
+                        {"from": "b", "to": "c", "u": 1, "v": 1},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "verify", str(doc))
+        assert code == 0 and err == ""
+        assert out == (
+            "d2: FAIL (1 nonzero terms)\n"
+            "degree: FAIL (2 violating arrows)\n"
+            "homology: FAIL (free ranks 3/3, gradings None/None)\n"
+            "symmetry: FAIL (no based isomorphism onto the conjugate)\n"
+            "0/4 checks passed\n"
+        )
+
     def test_homology_rejects_an_arrow_that_keeps_its_grading(self, capsys, tmp_path):
         # Killing U leaves a -> V b, which does not lower gr_U by one.
         doc = tmp_path / "flat.json"
@@ -208,6 +236,15 @@ class TestRealizeVerifyRender:
         code, out, err = run(capsys, "realize", "-s", "4 | -1,1,2,-1,1,3 | -4", "-o", str(doc))
         assert code == 1 and out == ""
         assert err == "realize expects a plain sequence, not an extended one\n"
+        assert not doc.exists()
+
+    def test_nonpositive_extension_lengths_are_an_error(self, capsys, tmp_path):
+        doc = tmp_path / "g.json"
+        code, out, err = run(
+            capsys, "realize", "-s", "1,-1", "--n1", "0", "--n2", "0", "-o", str(doc)
+        )
+        assert code == 1 and out == ""
+        assert err == "error: extension lengths must be positive\n"
         assert not doc.exists()
 
     def test_realize_needs_both_extension_lengths(self, capsys, tmp_path):

@@ -16,7 +16,7 @@ from tunnelfill import (
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import has_correct_homology
 from tunnelfill.lattice import lattice_positions
-from tunnelfill.rings import _INTERNED_LIMIT, add_arrows
+from tunnelfill.rings import _INTERNED_LIMIT, _MONOMIALS, add_arrows
 from tunnelfill.standard import _GENERATORS, _STEPS, _chain, build_extended, chain_links
 from conftest import (
     candidate_monomial,
@@ -50,6 +50,29 @@ class TestSequenceValidation:
     def test_extension_entries_nonzero(self):
         with pytest.raises(ConstructionError):
             ExtendedSignSequence(0, SignSequence((1, -1)), 2)
+
+    @pytest.mark.parametrize("entries", [[1.5, -1], [2.0, -1], ["a", "b"], [None, 1]])
+    def test_non_integer_entries_rejected(self, entries):
+        with pytest.raises(ConstructionError, match="^sign sequence entries must be integers$"):
+            SignSequence(entries)
+
+    @pytest.mark.parametrize("head, tail", [(1.5, -1), (1, -1.0)])
+    def test_non_integer_extension_entries_rejected(self, head, tail):
+        with pytest.raises(ConstructionError, match="^sign sequence entries must be integers$"):
+            ExtendedSignSequence(head, SignSequence((1, 1)), tail)
+
+    def test_a_refused_float_leaves_the_caches_integral(self):
+        # A float key hashes like the equal int, so a float chain built into
+        # empty caches would hand its float gradings and exponents to every
+        # later integer chain.
+        for cache in (_STEPS, _GENERATORS, _MONOMIALS):
+            cache.clear()
+        with pytest.raises(ConstructionError):
+            build_standard(SignSequence([2.0, -1]))
+        c = build_standard(SignSequence((2, -1)))
+        values = [x for g in c.generators for x in (g.grading.gu, g.grading.gv)]
+        values += [x for a in c.arrows for x in a.monomial]
+        assert values and all(type(x) is int for x in values)
 
 
 class TestStandardGradings:
