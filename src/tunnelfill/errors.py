@@ -48,4 +48,4 @@ class RenderError(TunnelFillError):
 
 class SearchBudgetError(TunnelFillError):
     """A verifier used up its budget without a verdict: the isomorphism
-    search its pairings, or a Smith form its elimination degree."""
+    search its pairings, a Smith form its elimination degree, or d^2 its path budget."""

@@ -102,7 +102,15 @@ def _unique_adjacent(links, gid, horizontal):
     """The horizontal (resp. vertical) arrow touching gid, if any: one of
     its two links, since every added arrow is diagonal and links alternate
     kinds."""
-    for link in links[max(gid - 1, 0) : gid + 1]:
+    # At id 0 this reads links[-1:1], empty on every chain (each has two
+    # links or more), yet no analysis at id 0 seeks links[0]'s kind. One
+    # pivots at the far end of the path arrow whose other exponent is 1: a
+    # link of the other kind, or an arrow forced by an analysis joining a
+    # cause's end c to the far end w of its pivot's link. If that analysis
+    # was of the other kind, c and w each have a link of it. If of the same
+    # kind, the path via w's link is the cancelled one, and c's link leaves
+    # or enters c as the arrow does, so the two form no path.
+    for link in links[gid - 1 : gid + 1]:
         if link.monomial.is_horizontal == horizontal:
             return link
     return None
@@ -166,6 +174,7 @@ def _link_neighbours(links: Sequence[Arrow], arrows: Iterable[Arrow]):
     """Each of ``arrows`` paired with each link that shares an end with it."""
     for arrow in arrows:
         for end in arrow.source, arrow.target:
+            # links[0] too at id 0: an arrow forced along it cancels its cause.
             for link in links[max(end - 1, 0) : end + 1]:
                 yield arrow, link
 

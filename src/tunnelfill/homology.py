@@ -23,9 +23,9 @@ from .errors import ConstructionError, SearchBudgetError
 from .f2poly import PolyMatrix, pdeg, smith_normal_form
 from .rings import BasedComplex
 
-# How many individualizations find_based_isomorphism may make before it
-# gives up; each one copies the partition and refines it from the new
-# two-vertex cell only.
+# How many individualizations the symmetry search may make before it gives
+# up; each one copies the partition and refines it from the new two-vertex
+# cell only.
 SEARCH_BUDGET = 1 << 10
 
 # The largest power a block may hold and still be eliminated. It caps only
@@ -172,11 +172,22 @@ def has_correct_homology(complex: BasedComplex) -> bool:
     return u_side.verdict and v_side.verdict
 
 
-def find_based_isomorphism(
-    first: BasedComplex, second: BasedComplex
-) -> dict[int, int] | None:
-    """A generator bijection matching gradings and the full arrow set, sorted
-    by key, or None.
+def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:
+    """Search for a based isomorphism onto the U/V-interchanged complex;
+    returns the witness bijection or None, reading no arrow when the
+    gradings are not swap-symmetric."""
+    gradings = [(g.grading.gu, g.grading.gv) for g in complex.generators]
+    conjugate = [(v, u) for u, v in gradings]
+    if sorted(gradings) != sorted(conjugate):
+        return None
+    arrows = [(s, u, v, t) for s, (u, v), t in complex.arrows]
+    return _isomorphism(gradings, arrows, conjugate, [(s, v, u, t) for s, u, v, t in arrows])
+
+
+def _isomorphism(gradings1, arrows1, gradings2, arrows2):
+    """The bijection, sorted by key, carrying the first complex's gradings
+    and (source, u, v, target) arrows onto the second's, or None; the
+    caller has checked that the gradings are one multiset.
 
     Colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism, II", J. Symb. Comput. 60, 2014) on both complexes at
@@ -186,37 +197,7 @@ def find_based_isomorphism(
     the complexity of canonical colour refinement", Theory Comput. Syst. 60,
     2017. Raises SearchBudgetError after ``SEARCH_BUDGET`` individualizations.
     """
-    return _isomorphism(_gradings(first), _arrows(first), _gradings(second), _arrows(second))
-
-
-def check_symmetry(complex: BasedComplex) -> dict[int, int] | None:
-    """Search for a based isomorphism onto the U/V-interchanged complex;
-    returns the witness bijection or None, reading no arrow when the
-    gradings are not swap-symmetric."""
-    gradings = _gradings(complex)
-    conjugate = [(v, u) for u, v in gradings]
-    if sorted(gradings) != sorted(conjugate):
-        return None
-    arrows = _arrows(complex)
-    return _isomorphism(gradings, arrows, conjugate, [(s, v, u, t) for s, u, v, t in arrows])
-
-
-def _gradings(complex: BasedComplex) -> list[tuple[int, int]]:
-    """The gradings as (gu, gv) pairs in id order."""
-    return [(g.grading.gu, g.grading.gv) for g in complex.generators]
-
-
-def _arrows(complex: BasedComplex) -> list[tuple[int, int, int, int]]:
-    """The arrows as (source, u, v, target)."""
-    return [(s, u, v, t) for s, (u, v), t in complex.arrows]
-
-
-def _isomorphism(gradings1, arrows1, gradings2, arrows2):
     n = len(gradings1)
-    if n != len(gradings2) or len(arrows1) != len(arrows2):
-        return None
-    if sorted(gradings1) != sorted(gradings2):
-        return None
     # Vertex v < n is the first complex's generator v, and v >= n is the
     # second's v - n. A link holds its arrow's kind as seen from the far end.
     links: list[list[tuple[tuple[int, int, int], int]]] = [[] for _ in range(2 * n)]

@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     ConstructionError,
     InvalidLiftError,
+    SearchBudgetError,
     UnknownGeneratorError,
 )
 
@@ -250,19 +251,27 @@ def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     return BasedComplex(target, complex.generators, complex.arrows, complex.colors)
 
 
+# The most two-arrow paths differential_square reads, and so terms it holds;
+# realizations read up to about 11 per sequence entry.
+PATH_BUDGET = 1 << 17
+
+
 def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
     """The terms (source, monomial, target) of d^2 that survive in the ring,
     each once and in sorted order.
 
-    The complex is a chain complex exactly when the result is empty.
+    The complex is a chain complex exactly when the result is empty. Raises
+    SearchBudgetError before reading more than ``PATH_BUDGET`` paths.
     """
     out = complex.outgoing
     level = complex.ring.level
     terms: set[Term] = set()
+    paths = 0
     for s, m1, t in complex.arrows:
-        seconds = out.get(t)
-        if seconds is None:
-            continue
+        seconds = out.get(t, ())
+        paths += len(seconds)
+        if paths > PATH_BUDGET:
+            raise SearchBudgetError(f"d^2 has over its budget of {PATH_BUDGET} two-arrow paths")
         for second in seconds:
             m2 = second.monomial
             u, v = m1.u + m2.u, m1.v + m2.v

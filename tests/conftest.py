@@ -614,6 +614,21 @@ def translated_onto(complex: BasedComplex, other: BasedComplex) -> BasedComplex:
     return BasedComplex(complex.ring, gens, complex.arrows, complex.colors)
 
 
+def find_based_isomorphism(
+    first: BasedComplex, second: BasedComplex
+) -> dict[int, int] | None:
+    """A generator bijection matching gradings and the full arrow set, sorted
+    by key, or None: ``homology._isomorphism`` after the test it needs, that
+    the gradings are one multiset (and, as a shortcut, the arrows as many)."""
+    gradings1 = [(g.grading.gu, g.grading.gv) for g in first.generators]
+    gradings2 = [(g.grading.gu, g.grading.gv) for g in second.generators]
+    if len(first.arrows) != len(second.arrows) or sorted(gradings1) != sorted(gradings2):
+        return None
+    arrows1 = [(s, u, v, t) for s, (u, v), t in first.arrows]
+    arrows2 = [(s, u, v, t) for s, (u, v), t in second.arrows]
+    return homology._isomorphism(gradings1, arrows1, gradings2, arrows2)
+
+
 def isomorphism_by_permutations(
     first: BasedComplex, second: BasedComplex, allow_grading_shift: bool = False
 ) -> dict[int, int] | None:

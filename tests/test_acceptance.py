@@ -31,12 +31,12 @@ from tunnelfill import (
 from tunnelfill.builder import default_extension_params, double, extend_and_realize
 from tunnelfill.f2poly import PolyMatrix, pdeg, smith_normal_form
 from tunnelfill.filler import partial_realize
-from tunnelfill.homology import find_based_isomorphism
 from tunnelfill.lattice import lattice_positions
 from tunnelfill.rings import R1, R2, lift_to
 from tunnelfill.standard import build_extended
 from conftest import (
     added_arrows,
+    find_based_isomorphism,
     id_of,
     is_diagonal_matrix,
     one_arrow_at_a_time,

@@ -33,10 +33,11 @@ from tunnelfill.builder import (
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
-from tunnelfill.homology import find_based_isomorphism, has_correct_homology
+from tunnelfill.homology import has_correct_homology
 from tunnelfill.rings import R1, R2, RINF, lift_to
 from tunnelfill.standard import build_extended
 from conftest import (
+    find_based_isomorphism,
     id_of,
     make_complex,
     reduce_to,

@@ -439,6 +439,43 @@ class TestNoSquareInTheFiller:
             assert "incoming" not in c.__dict__
 
 
+class TestTheFirstGenerator:
+    """Id 0 has one link, links[0]."""
+
+    def test_an_arrow_forced_along_link_0_cancels_its_cause_there(self):
+        # x3 -> U^2 x2 -> V x1 forces x3 -> UV x0 along x0 -> U x1, and the
+        # second path for the term runs through x0.
+        links = build_standard(SignSequence((-1, 1, 2, -2))).links
+        table = {}
+        causes = filler._file_paths(table, zip(links, links[1:]))
+        cause = (3, Monomial(2, 1), 1)
+        event = forced_response(links, cause, causes[cause])
+        assert event.added == Arrow(3, Monomial(1, 1), 0)
+        assert filler._file_paths(table, filler._link_neighbours(links, [event.added])) == {}
+        assert table[cause] is None
+
+    def test_no_analysis_at_id_0_seeks_the_kind_of_link_0(self, monkeypatch):
+        sought = []
+        unique_adjacent = filler._unique_adjacent
+
+        def recording(links, gid, horizontal):
+            if gid == 0:
+                sought.append(links[0].monomial.is_horizontal == horizontal)
+            return unique_adjacent(links, gid, horizontal)
+
+        monkeypatch.setattr(filler, "_unique_adjacent", recording)
+        # Among these, several hundred pivots at id 0 are reached along an
+        # arrow added there, the rest along links[0].
+        ends = [a for a in range(-3, 4) if a != 0]
+        for seq in census_sequences(2, 4):
+            fill_links(build_standard(seq).links)
+        for body in census_sequences(2, 2):
+            for head, tail in itertools.product(ends, repeat=2):
+                fill_links(build_extended(ExtendedSignSequence(head, body, tail)).links)
+        assert len(sought) > 1_000
+        assert not any(sought)
+
+
 class TestOneConstructionPerDecision:
     """A decision builds two complexes: the chain, and its outcome with the
     added arrows, in one step."""

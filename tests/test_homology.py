@@ -28,7 +28,6 @@ from tunnelfill import f2poly, homology
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import (
     ELIMINATION_DEGREE_BOUND,
-    find_based_isomorphism,
     has_correct_homology,
     quotient_complex,
 )
@@ -40,6 +39,7 @@ from conftest import (
     dense_document,
     disjoint_union,
     eliminated_reports,
+    find_based_isomorphism,
     is_based_isomorphism,
     isomorphism_by_permutations,
     layered_probe,

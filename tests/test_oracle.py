@@ -176,6 +176,28 @@ class TestElimination:
         assert result.forced == frozenset.intersection(*witnesses)
         assert result.forced == {Arrow(5, Monomial(1, 1), 8)}
 
+    def test_a_later_kernel_vector_keeps_the_earlier_ones(self):
+        # a -> UV m1 and a -> UV m2 each cancel the one term a -> U^2V c, so
+        # together they are a kernel vector; p -> UV q meets no arrow and is
+        # one on its own, found after them. Neither a -> UV m is forced.
+        names = ("a", "b", "c", "m1", "m2", "p", "q")
+        grades = ((0, 0), (3, -1), (2, 0), (1, 1), (1, 1), (10, 10), (11, 11))
+        gens = [Generator(x, Grading(*g)) for x, g in zip(names, grades)]
+        arrows = [
+            Arrow(0, Monomial(2, 0), 1),
+            Arrow(1, Monomial(0, 1), 2),
+            Arrow(3, Monomial(1, 0), 2),
+            Arrow(4, Monomial(1, 0), 2),
+        ]
+        c = make_complex(R2, gens, arrows)
+        assert degree_violations(c) == []
+        assert differential_square(c) == ((0, Monomial(2, 1), 2),)
+        result = oracle_decide(c)
+        witnesses = exhaustive(c)
+        assert result.candidates[-1] == Arrow(5, Monomial(1, 1), 6)
+        assert result.witness in witnesses
+        assert result.forced == frozenset.intersection(*witnesses) == frozenset()
+
     def test_agrees_with_exhaustive_search(self):
         for seq in census_sequences(2, 3):
             c = lift_to(build_standard(seq), R2)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +13,7 @@ from tunnelfill import (
     Grading,
     InvalidLiftError,
     Monomial,
+    SearchBudgetError,
     SignSequence,
     UnknownGeneratorError,
     build_standard,
@@ -260,6 +262,42 @@ class TestDifferentialSquare:
 
         toggled = {key for key, parity in expected_delta.items() if parity}
         assert set(after) ^ set(before) == toggled
+
+
+def star(k):
+    """A complex that passes the degree check with k^2 two-arrow paths: a
+    hub h at (-1, 0), k sources a_i -> V h at (0, -1) and k targets
+    h -> V b_j at (-2, 1), so d^2 is the k^2 terms a_i -> V^2 b_j."""
+    gens = [Generator("h", Grading(-1, 0))]
+    gens += [Generator(f"a{i}", Grading(0, -1)) for i in range(k)]
+    gens += [Generator(f"b{j}", Grading(-2, 1)) for j in range(k)]
+    arrows = [Arrow(1 + i, Monomial(0, 1), 0) for i in range(k)]
+    arrows += [Arrow(0, Monomial(0, 1), 1 + k + j) for j in range(k)]
+    return make_complex(RINF, gens, arrows)
+
+
+class TestPathBudget:
+    def test_a_star_of_1024_paths_is_answered(self):
+        c = star(32)
+        assert degree_violations(c) == []
+        square = differential_square(c)
+        assert len(square) == 1024
+        assert square[0] == (1, Monomial(0, 2), 33)
+
+    def test_the_budget_counts_every_path(self, monkeypatch):
+        monkeypatch.setattr(rings, "PATH_BUDGET", 1024)
+        assert len(differential_square(star(32))) == 1024
+        monkeypatch.setattr(rings, "PATH_BUDGET", 1023)
+        with pytest.raises(SearchBudgetError, match="its budget of 1023 two-arrow paths"):
+            differential_square(star(32))
+
+    def test_a_star_of_four_million_paths_is_refused_within_a_second(self):
+        c = star(2000)
+        assert degree_violations(c) == []
+        started = time.perf_counter()
+        with pytest.raises(SearchBudgetError, match="budget of 131072"):
+            differential_square(c)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestDegreeCheck:
