@@ -33,13 +33,7 @@ from .errors import (
     InternalError,
     PlacementError,
 )
-from .filler import (
-    NotRealizable,
-    PartialRealization,
-    decide,
-    fill_links,
-    partial_realize,
-)
+from .filler import NotRealizable, PartialRealization, decide, fill_links
 from .homology import has_correct_homology
 from .lattice import lattice_positions
 from .rings import (
@@ -53,7 +47,7 @@ from .rings import (
     differential_square,
     lift_to,
 )
-from .standard import ExtendedSignSequence, SignSequence, build_extended, chain_links
+from .standard import ExtendedSignSequence, SignSequence, chain_links
 
 BLACK, RED, BLUE, GREEN = "black", "red", "blue", "green"
 
@@ -93,7 +87,7 @@ def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRea
             f"extension lengths {params} are below the bound {bound} for {seq}"
         )
     ext = ExtendedSignSequence(params.n1, seq, -params.n2)
-    outcome = partial_realize(build_extended(ext))
+    outcome = decide(ext)
     if isinstance(outcome, NotRealizable):
         raise ExtensionError(
             f"extended complex of {seq} with lengths {params} did not lift",
@@ -225,7 +219,7 @@ def realize(
     """
     if isinstance(seq, ExtendedSignSequence):
         raise ConstructionError("realize expects a plain sequence, not an extended one")
-    if fill_links(chain_links(seq.entries, 0))[2]:
+    if fill_links(chain_links(seq.entries, 0))[1]:
         # An obstruction: decide again, building the outcome the caller reads.
         return decide(seq)
 

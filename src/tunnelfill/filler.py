@@ -19,10 +19,12 @@ two consecutive links, and each stage adds only the paths that pair a newly
 added arrow with a link at either end: two added arrows compose to a term
 with both exponents at least 2, which vanishes. A stage's causes are the
 terms that still have their path. ``fill_links`` builds no complex and no
-adjacency index; only ``partial_realize``, which takes a chain built by
-``build_standard`` or ``build_extended``, builds one: its output, once, from
-the added arrows. ``differential_square`` is not used here: it stays the
-independent check of the finished complex.
+adjacency index. It returns one record of what it added, each added arrow
+mapped to the event that forced it in order of addition, with the
+obstructions of the stage that failed. Only ``partial_realize``, which takes
+a chain built by ``build_standard`` or ``build_extended``, builds a complex:
+its output, once, from the added arrows. ``differential_square`` is not used
+here: it stays the independent check of the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set. Each
@@ -37,18 +39,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, InternalError
-from .rings import R2, Arrow, BasedComplex, Monomial
+from .rings import R2, Arrow, BasedComplex, Monomial, Term
 from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
 
-# A d^2 term that must be cancelled: (source id, monomial, target id).
-Cause = tuple[int, Monomial, int]
 # A two-arrow path, first arrow then second.
 Path = tuple[Arrow, Arrow]
-# The causes of one stage, each with its single witnessing path.
-StageCauses = dict[Cause, Path]
+# The causes of one stage, the d^2 terms that must be cancelled, each with
+# its single witnessing path.
+StageCauses = dict[Term, Path]
 # Each term of a decision's complex that survives over R2, to its one
 # two-arrow path, or to None once a second path has cancelled it.
-PathTable = dict[Cause, Path | None]
+PathTable = dict[Term, Path | None]
 
 ADDED_COLOR = "added"
 
@@ -62,7 +63,7 @@ class ForcedArrowEvent:
     """A diagonal arrow the complex was forced to absorb, with the d^2 term
     that demanded it and which of the four case splits applied."""
 
-    cause: Cause
+    cause: Term
     case_tag: str
     added: Arrow
 
@@ -71,7 +72,7 @@ class ForcedArrowEvent:
 class Obstruction:
     """A d^2 term with no legal cancelling arrow."""
 
-    cause: Cause
+    cause: Term
     reason: str
 
 
@@ -93,7 +94,7 @@ class NotRealizable:
 DecisionOutcome = PartialRealization | NotRealizable
 
 
-def _cause_key(cause: Cause):
+def _cause_key(cause: Term):
     x, m, y = cause
     return (x, y, m.u, m.v)
 
@@ -117,7 +118,7 @@ def _unique_adjacent(links, gid, horizontal):
 
 
 def forced_response(
-    links: Sequence[Arrow], cause: Cause, path: Path
+    links: Sequence[Arrow], cause: Term, path: Path
 ) -> ForcedArrowEvent | list[Obstruction]:
     """The unique legal reaction to one offending d^2 path on the chain
     ``links``.
@@ -214,13 +215,12 @@ def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> Stage
 
 def fill_links(
     links: Sequence[Arrow],
-) -> tuple[list[ForcedArrowEvent], dict[Arrow, None], tuple[Obstruction, ...]]:
+) -> tuple[dict[Arrow, ForcedArrowEvent], tuple[Obstruction, ...]]:
     """Fill the tunnels of the chain whose arrows, in chain order, are
-    ``links``: the events in order, the arrows they added, and the sorted
-    obstructions of the stage that failed (none when the chain lifts)."""
-    events: list[ForcedArrowEvent] = []
-    # The arrows added so far, in order of addition.
-    added: dict[Arrow, None] = {}
+    ``links``: each added arrow to the event that forced it, in order of
+    addition, and the sorted obstructions of the stage that failed (none
+    when the chain lifts). A failed stage adds nothing."""
+    added: dict[Arrow, ForcedArrowEvent] = {}
     obstructions: list[Obstruction] = []
     table: PathTable = {}
     causes = _file_paths(table, zip(links, links[1:]))
@@ -230,23 +230,19 @@ def fill_links(
     budget = (m // 2) * ((m + 1) // 2)
 
     while causes:
-        stage_events: list[ForcedArrowEvent] = []
+        new: dict[Arrow, ForcedArrowEvent] = {}
         for cause in sorted(causes, key=_cause_key):
             response = forced_response(links, cause, causes[cause])
-            if isinstance(response, ForcedArrowEvent):
-                stage_events.append(response)
-            else:
+            if not isinstance(response, ForcedArrowEvent):
                 obstructions.extend(response)
+            elif response.added in new or response.added in added:
+                raise InternalError(f"forced arrow {response.added} is already present")
+            else:
+                new[response.added] = response
 
         if obstructions:
             break
 
-        new: dict[Arrow, None] = {}
-        for e in stage_events:
-            if e.added in added:
-                raise InternalError(f"forced arrow {e.added} is already present")
-            new[e.added] = None
-            events.append(e)
         added.update(new)
         if len(added) > budget:
             raise InternalError(
@@ -259,7 +255,7 @@ def fill_links(
         causes = _file_paths(table, _link_neighbours(links, new))
 
     ordered = sorted(set(obstructions), key=lambda o: (_cause_key(o.cause), o.reason))
-    return events, added, tuple(ordered)
+    return added, tuple(ordered)
 
 
 def partial_realize(complex: BasedComplex) -> DecisionOutcome:
@@ -270,15 +266,16 @@ def partial_realize(complex: BasedComplex) -> DecisionOutcome:
         raise ConstructionError(
             "partial_realize takes a chain built by build_standard or build_extended"
         )
-    events, added, obstructions = fill_links(links)
-    # A plain union inserts the added arrows: fill_links raises if one is
-    # already present, each is diagonal and no link is, so none cancels a
-    # chain arrow, and each has a unit exponent, so none vanishes over R2.
+    added, obstructions = fill_links(links)
+    # A plain union inserts the added arrows: fill_links refuses an arrow
+    # forced twice or already present in any stage, each is diagonal and no
+    # link is, so none cancels a chain arrow, and each has a unit exponent,
+    # so none vanishes over R2.
     colors = dict.fromkeys(added, ADDED_COLOR)
     filled = BasedComplex(R2, complex.generators, complex.arrows.union(added), colors)
     if obstructions:
         return NotRealizable(obstructions, filled)
-    return PartialRealization(filled, tuple(events))
+    return PartialRealization(filled, tuple(added.values()))
 
 
 def decide(seq: SignSequence | ExtendedSignSequence) -> DecisionOutcome:

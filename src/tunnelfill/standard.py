@@ -16,6 +16,7 @@ so an extended complex's body keeps the gradings of the standard one.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,14 +33,13 @@ from .rings import (
 )
 
 
-def _require_integers(values: tuple) -> None:
-    # Any float makes the sum a float, and a string or None makes it raise.
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """``values`` as plain ints: a bool becomes 0 or 1, and a float, string
+    or None is refused."""
     try:
-        integral = type(sum(values)) is int
+        return tuple(map(operator.index, values))
     except TypeError:
-        integral = False
-    if not integral:
-        raise ConstructionError("sign sequence entries must be integers")
+        raise ConstructionError("sign sequence entries must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,11 @@ class SignSequence:
     def __init__(self, entries: Iterable[int]):
         # Written out, not generated: the frozen __init__ plus a
         # __post_init__ would set the field twice.
-        entries = tuple(entries)
+        entries = _integers(entries)
         if not entries or len(entries) % 2:
             raise ConstructionError(
                 f"sign sequence needs positive even length, got {len(entries)}"
             )
-        _require_integers(entries)
         if 0 in entries:
             raise ConstructionError("sign sequence entries must be nonzero")
         object.__setattr__(self, "entries", entries)
@@ -80,8 +79,12 @@ class ExtendedSignSequence:
     tail: int
 
     def __post_init__(self):
-        _require_integers((self.head, self.tail))
-        if self.head == 0 or self.tail == 0:
+        if not isinstance(self.body, SignSequence):
+            raise ConstructionError("the body of an extended sequence must be a SignSequence")
+        head, tail = _integers((self.head, self.tail))
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+        if head == 0 or tail == 0:
             raise ConstructionError("extension entries must be nonzero")
 
     @property

@@ -1,6 +1,7 @@
 """The public API: what ``from tunnelfill import *`` binds, and the README
 and script code that reaches the package through it."""
 
+import ast
 import dataclasses
 import runpy
 from pathlib import Path
@@ -81,3 +82,33 @@ def test_results_keep_their_evidence_and_read_their_verdicts_off_it():
     sequence = tunnelfill.SignSequence((1, 1))
     assert CensusRow(sequence, 0, None, ()).decision == "REALIZABLE"
     assert CensusRow(sequence, 0, "no-adjacent-arrow at d2", ()).decision == "NOT_REALIZABLE"
+
+
+def _writes_to_the_console(source: str) -> list[str]:
+    """Each call of ``print`` and each use of ``sys.stdout`` or
+    ``sys.stderr`` in ``source``, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "print":
+                found.append(f"line {node.lineno}: print")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "sys" and node.attr in ("stdout", "stderr"):
+                found.append(f"line {node.lineno}: sys.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            for alias in node.names:
+                if alias.name in ("stdout", "stderr"):
+                    found.append(f"line {node.lineno}: from sys import {alias.name}")
+    return found
+
+
+def test_only_the_command_line_writes_to_the_console():
+    assert _writes_to_the_console("import sys\nprint(1)\nsys.stderr.write('')") == [
+        "line 2: print", "line 3: sys.stderr",
+    ]
+    modules = sorted((ROOT / "src" / "tunnelfill").glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name != "cli.py":
+            assert _writes_to_the_console(path.read_text()) == [], path.name
+

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -22,7 +23,7 @@ from tunnelfill import (
     rings,
 )
 from tunnelfill.census import census_sequences
-from tunnelfill.filler import fill_links, forced_response, partial_realize
+from tunnelfill.filler import ForcedArrowEvent, fill_links, forced_response, partial_realize
 from tunnelfill.rings import R1, R2, add_arrows, lift_to
 from tunnelfill.standard import build_extended
 from conftest import all_paths, id_of, make_complex, one_arrow_at_a_time, reduce_to, sign_sequences
@@ -368,18 +369,37 @@ class TestStageCauses:
         for body in census_sequences(2, 2):
             for head, tail in itertools.product(ends, repeat=2):
                 chain = build_extended(ExtendedSignSequence(head, body, tail))
-                events, added, obstructions = fill_links(chain.links)
+                added, obstructions = fill_links(chain.links)
                 outcome = partial_realize(chain)
                 if isinstance(outcome, PartialRealization):
-                    assert tuple(events) == outcome.added
+                    assert tuple(added.values()) == outcome.added
                     assert obstructions == ()
                     assert outcome.complex.arrows == chain.arrows | set(added)
                 else:
                     assert obstructions == outcome.obstructions
                     assert set(added) == outcome.partial_progress.arrows - chain.arrows
                     stopped += 1
-                assert list(added) == [e.added for e in events]
+                assert list(added) == [e.added for e in added.values()]
         assert stopped > 1_000
+
+    def test_one_arrow_forced_twice_in_a_stage_is_refused(self, monkeypatch):
+        # Every event carries the first event's arrow, so the first stage of
+        # the ladder forces one arrow four times.
+        arrows = []
+        respond = filler.forced_response
+
+        def same_arrow(links, cause, path):
+            response = respond(links, cause, path)
+            if isinstance(response, ForcedArrowEvent):
+                arrows.append(response.added)
+                response = dataclasses.replace(response, added=arrows[0])
+            return response
+
+        monkeypatch.setattr(filler, "forced_response", same_arrow)
+        links = build_standard(SignSequence((-1, 1, 2, -1, 1, 3) * 2)).links
+        with pytest.raises(InternalError, match="already present"):
+            fill_links(links)
+        assert len(arrows) == 2
 
     def test_a_complex_without_links_is_refused(self):
         chain = build_standard(SignSequence((-1, 1, 2, -1, 1, 3)))

@@ -12,6 +12,7 @@ from tunnelfill import (
     build_standard,
     degree_violations,
     differential_square,
+    parse_sequence,
 )
 from tunnelfill.census import census_sequences
 from tunnelfill.homology import has_correct_homology
@@ -60,6 +61,28 @@ class TestSequenceValidation:
     def test_non_integer_extension_entries_rejected(self, head, tail):
         with pytest.raises(ConstructionError, match="^sign sequence entries must be integers$"):
             ExtendedSignSequence(head, SignSequence((1, 1)), tail)
+
+    def test_bool_entries_become_ints(self):
+        seq = SignSequence([True, -1])
+        assert seq == SignSequence([1, -1])
+        assert all(type(a) is int for a in seq.entries)
+        assert str(seq) == "1,-1"
+        assert parse_sequence(str(seq)) == seq
+        with pytest.raises(ConstructionError, match="^sign sequence entries must be nonzero$"):
+            SignSequence([False, 1])
+
+    def test_bool_extension_entries_become_ints(self):
+        ext = ExtendedSignSequence(True, SignSequence((1, 1)), -1)
+        assert ext == ExtendedSignSequence(1, SignSequence((1, 1)), -1)
+        assert type(ext.head) is int
+        assert str(ext) == "1 | 1,1 | -1"
+        with pytest.raises(ConstructionError, match="^extension entries must be nonzero$"):
+            ExtendedSignSequence(1, SignSequence((1, 1)), False)
+
+    @pytest.mark.parametrize("body", [(1, 1), [1, 1], "1,1", None])
+    def test_a_body_that_is_not_a_sign_sequence_is_refused(self, body):
+        with pytest.raises(ConstructionError, match="must be a SignSequence"):
+            ExtendedSignSequence(1, body, -1)
 
     def test_a_refused_float_leaves_the_caches_integral(self):
         # A float key hashes like the equal int, so a float chain built into
