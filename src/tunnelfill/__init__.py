@@ -10,7 +10,7 @@ render take and return, and the typed errors. Everything else is imported
 from its module, e.g. ``from tunnelfill.rings import R2, lift_to``.
 """
 
-from .builder import ExtensionParams, realize
+from .builder import realize
 from .census import CensusRow, census_rows, write_census_csv
 from .errors import (
     ConstructionError,
@@ -18,7 +18,6 @@ from .errors import (
     ExtensionError,
     InternalError,
     InvalidLiftError,
-    PlacementError,
     RenderError,
     SearchBudgetError,
     SequenceParseError,
@@ -65,7 +64,6 @@ __all__ = [
     "ForcedArrowEvent",
     "Obstruction",
     "realize",
-    "ExtensionParams",
     "differential_square",
     "degree_violations",
     "check_correct_homology",
@@ -85,7 +83,6 @@ __all__ = [
     "ExtensionError",
     "InternalError",
     "InvalidLiftError",
-    "PlacementError",
     "RenderError",
     "SearchBudgetError",
     "SequenceParseError",

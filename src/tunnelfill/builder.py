@@ -19,20 +19,13 @@ Both extension lengths are max|a_i| + 2, chosen up front. At the published
 length, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
 unit exponent and leave an uncancellable corner at the seam. One more step
 lifts, doubles and glues every realizable sequence with n <= 3, |a_i| <= 4
-(114,270 of them) with the right homology. Explicit lengths are used as
-given; a typed ExtensionError or PlacementError says when they fail.
+(114,270 of them) with the right homology. ``decide`` on an extended
+sequence, such as C(3 | 1,-2,2,-1 | -3), shows which lengths lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    ConstructionError,
-    ExtensionError,
-    InternalError,
-    PlacementError,
-)
+from .errors import ConstructionError, ExtensionError, InternalError
 from .filler import NotRealizable, PartialRealization, decide, fill_links
 from .homology import has_correct_homology
 from .lattice import lattice_positions
@@ -52,45 +45,19 @@ from .standard import ExtendedSignSequence, SignSequence, chain_links
 BLACK, RED, BLUE, GREEN = "black", "red", "blue", "green"
 
 
-@dataclass(frozen=True)
-class ExtensionParams:
-    """Lengths of the two extension arrows; both must exceed every |a_i|."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ConstructionError("extension lengths must be positive")
-
-
-def default_extension_params(seq: SignSequence) -> ExtensionParams:
-    """max|a_i| + 2 at both ends; the module docstring says why."""
-    length = seq.max_abs + 2
-    return ExtensionParams(length, length)
-
-
 def glue_offset(seq: SignSequence) -> int:
     """Half the sign sum; the diagonal distance between the two copies of z."""
     return seq.sign_sum() // 2
 
 
-def extend_and_realize(seq: SignSequence, params: ExtensionParams) -> PartialRealization:
-    """Lift the extended complex C(n1 | seq | -n2) to the level-2 ring.
-
-    Raises ExtensionError when the lift fails, which lengths of
-    max|a_i| + 1 can cause; ``default_extension_params`` avoids it.
-    """
-    bound = seq.max_abs + 1
-    if params.n1 < bound or params.n2 < bound:
-        raise ConstructionError(
-            f"extension lengths {params} are below the bound {bound} for {seq}"
-        )
-    ext = ExtendedSignSequence(params.n1, seq, -params.n2)
-    outcome = decide(ext)
+def extend_and_realize(seq: SignSequence) -> PartialRealization:
+    """Lift the extended complex C(n | seq | -n), n = max|a_i| + 2, to the
+    level-2 ring; raises ExtensionError should the lift ever fail."""
+    n = seq.max_abs + 2
+    outcome = decide(ExtendedSignSequence(n, seq, -n))
     if isinstance(outcome, NotRealizable):
         raise ExtensionError(
-            f"extended complex of {seq} with lengths {params} did not lift",
+            f"extended complex of {seq} at extension length {n} did not lift",
             outcome.obstructions,
         )
     return outcome
@@ -175,9 +142,7 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
         (sc, sr), (tc, tr) = place[source], place[target]
         du, dv = sc - tc, sr - tr
         if du < 0 or dv < 0 or not (du or dv):
-            raise PlacementError(
-                f"placement forces exponents ({du}, {dv}); the extensions are too short"
-            )
+            raise InternalError(f"placement forces exponents ({du}, {dv})")
         arrow = Arrow(new_id[source], Monomial.of(du, dv), new_id[target])
         if new_colors.pop(arrow, None) is None:
             new_colors[arrow] = colors.get(a) or BLACK
@@ -207,24 +172,20 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     return glued
 
 
-def realize(
-    seq: SignSequence, params: ExtensionParams | None = None
-) -> BasedComplex | NotRealizable:
+def realize(seq: SignSequence) -> BasedComplex | NotRealizable:
     """Decide ``seq`` and, when liftable, build a full realization of its
     local equivalence class with the homology contract.
 
-    Returns the tunnel filler's NotRealizable outcome otherwise. Raises
-    ExtensionError or PlacementError when explicit ``params`` do not work,
-    and ConstructionError for an extended sequence.
+    Returns the tunnel filler's NotRealizable outcome otherwise, and raises
+    ConstructionError for an extended sequence.
     """
     if isinstance(seq, ExtendedSignSequence):
         raise ConstructionError("realize expects a plain sequence, not an extended one")
-    if fill_links(chain_links(seq.entries, 0))[1]:
+    if fill_links(chain_links(seq.entries))[1]:
         # An obstruction: decide again, building the outcome the caller reads.
         return decide(seq)
 
-    params = params or default_extension_params(seq)
-    glued = glue(double(extend_and_realize(seq, params).complex), seq)
+    glued = glue(double(extend_and_realize(seq).complex), seq)
     if not has_correct_homology(glued):
         raise InternalError(f"realization of {seq} has the wrong homology")
     return glued

@@ -53,7 +53,7 @@ def census_sequences(n_max: int, a_max: int) -> Iterator[SignSequence]:
 def decide_row(seq: SignSequence) -> CensusRow:
     """Decide ``seq`` on its chain's links, building no complex, as one CSV
     row. The reason names x_k by its id k in the standard chain."""
-    added, obstructions = fill_links(chain_links(seq.entries, 0))
+    added, obstructions = fill_links(chain_links(seq.entries))
     if not obstructions:
         return CensusRow(seq, len(added), None, tuple(added))
     first = obstructions[0]

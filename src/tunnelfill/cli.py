@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 
-from .builder import ExtensionParams, realize
+from .builder import realize
 from .census import census_rows, cross_check_with_oracle, write_census_csv
 from .errors import DocumentError, TunnelFillError
 from .filler import NotRealizable, decide
@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="build a full realization and write it out")
     p.add_argument("-s", "--sequence", required=True)
     p.add_argument("-o", "--output", required=True, help="output document path")
-    p.add_argument("--n1", type=int, default=None, help="head extension length")
-    p.add_argument("--n2", type=int, default=None, help="tail extension length")
 
     p = sub.add_parser("verify", help="run verifiers on a complex document")
     p.add_argument("file", help="complex document path")
@@ -130,13 +128,7 @@ def _realize(args) -> int:
     if isinstance(seq, ExtendedSignSequence):
         print("realize expects a plain sequence, not an extended one", file=sys.stderr)
         return 1
-    params = None
-    if args.n1 is not None or args.n2 is not None:
-        if args.n1 is None or args.n2 is None:
-            print("give both --n1 and --n2 or neither", file=sys.stderr)
-            return 1
-        params = ExtensionParams(args.n1, args.n2)
-    result = realize(seq, params)
+    result = realize(seq)
     if isinstance(result, NotRealizable):
         print(_obstruction_lines(result)[0])
         return 0

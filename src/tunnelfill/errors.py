@@ -22,16 +22,13 @@ class InternalError(TunnelFillError):
 
 
 class ExtensionError(TunnelFillError):
-    """The extended complex failed to lift at the given extension lengths;
-    ``obstructions`` holds the filler's reasons."""
+    """The extended complex failed to lift at extension length
+    max|a_i| + 2, which no known input does; ``obstructions`` holds the
+    filler's reasons."""
 
     def __init__(self, message, obstructions=()):
         super().__init__(message)
         self.obstructions = tuple(obstructions)
-
-
-class PlacementError(TunnelFillError):
-    """Gluing placement produced an arrow with a negative exponent."""
 
 
 class SequenceParseError(TunnelFillError):

@@ -118,11 +118,6 @@ def _fields_error(entry, required: frozenset, what: str, optional=frozenset()) -
     return DocumentError(f"{what} must be an object")
 
 
-def _is_count(value) -> bool:
-    """An int and not a bool; ``type(x) is int`` is the fast path before it."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_document(doc: Any) -> BasedComplex:
     """Check a decoded document and build its complex in the same pass."""
     if not isinstance(doc, dict):
@@ -147,7 +142,10 @@ def parse_document(doc: Any) -> BasedComplex:
             raise DocumentError(f"generator {i}: name must be a nonempty string")
         if name in ids:
             raise DocumentError(f"duplicate generator name {name!r}")
-        if not isinstance(gr, list) or len(gr) != 2 or not all(map(_is_count, gr)):
+        if (
+            not isinstance(gr, list) or len(gr) != 2
+            or type(gr[0]) is not int or type(gr[1]) is not int
+        ):
             raise DocumentError(f"generator {name!r}: gr must be a pair of integers")
         ids[name] = i
         generators.append(Generator(name, Grading(gr[0], gr[1])))
@@ -163,9 +161,9 @@ def parse_document(doc: Any) -> BasedComplex:
             raise _fields_error(entry, _ARROW_FIELDS, f"arrow {i}", {"color"})
         u = entry["u"]
         v = entry["v"]
-        if type(u) is not int and not _is_count(u) or u < 0:
+        if type(u) is not int or u < 0:
             raise DocumentError(f"arrow {i}: u must be a nonnegative integer")
-        if type(v) is not int and not _is_count(v) or v < 0:
+        if type(v) is not int or v < 0:
             raise DocumentError(f"arrow {i}: v must be a nonnegative integer")
         try:
             source = ids[entry["from"]]

@@ -120,11 +120,11 @@ _GENERATORS = _Interned(
 )
 
 
-def chain_links(entries: tuple[int, ...], first: int) -> tuple[Arrow, ...]:
-    """The arrows of ``_chain(entries, first)`` in chain order, ``links[j]``
+def chain_links(entries: tuple[int, ...]) -> tuple[Arrow, ...]:
+    """The arrows of ``_chain(entries, 0)`` in chain order, ``links[j]``
     joining ids j and j + 1, read from the same steps without building a
     generator."""
-    return tuple([_STEPS[first, i, a][0] for i, a in enumerate(entries, 1)])
+    return tuple([_STEPS[0, i, a][0] for i, a in enumerate(entries, 1)])
 
 
 def _chain(entries: tuple[int, ...], first: int) -> BasedComplex:

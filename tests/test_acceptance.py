@@ -28,7 +28,7 @@ from tunnelfill import (
     render_svg,
     serialize,
 )
-from tunnelfill.builder import default_extension_params, double, extend_and_realize
+from tunnelfill.builder import double, extend_and_realize
 from tunnelfill.f2poly import PolyMatrix, pdeg, smith_normal_form
 from tunnelfill.filler import partial_realize
 from tunnelfill.lattice import lattice_positions
@@ -237,14 +237,12 @@ def test_criterion_7_doubling_reduction():
             seq = SignSequence(entries)
             if isinstance(partial_realize(build_standard(seq)), NotRealizable):
                 continue
-            params = default_extension_params(seq)
-            lifted = extend_and_realize(seq, params)
+            lifted = extend_and_realize(seq)
             reduced = reduce_to(double(lifted.complex), R1)
             pieces = undirected_components(reduced)
             assert len(pieces) == 2, entries
-            reference = build_extended(
-                ExtendedSignSequence(params.n1, seq, -params.n2)
-            )
+            n = seq.max_abs + 2
+            reference = build_extended(ExtendedSignSequence(n, seq, -n))
             for piece in pieces:
                 part = subcomplex(reduced, piece)
                 assert find_based_isomorphism(

@@ -19,7 +19,7 @@ PUBLIC = {
     # Decide
     "decide", "PartialRealization", "NotRealizable", "ForcedArrowEvent", "Obstruction",
     # Realize
-    "realize", "ExtensionParams",
+    "realize",
     # Verify
     "differential_square", "degree_violations", "check_correct_homology",
     "HomologyReport", "check_symmetry",
@@ -29,7 +29,7 @@ PUBLIC = {
     "census_rows", "write_census_csv", "CensusRow", "oracle_decide", "OracleResult",
     # Errors
     "TunnelFillError", "ConstructionError", "DocumentError", "ExtensionError",
-    "InternalError", "InvalidLiftError", "PlacementError", "RenderError",
+    "InternalError", "InvalidLiftError", "RenderError",
     "SearchBudgetError", "SequenceParseError", "UnknownGeneratorError",
 }
 
@@ -38,9 +38,9 @@ def test_star_import_binds_exactly_the_public_api():
     namespace = {}
     exec("from tunnelfill import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 38
     assert set(namespace) == PUBLIC
-    assert len(tunnelfill.__all__) == 40
+    assert len(tunnelfill.__all__) == 38
 
 
 def test_readme_library_block_does_what_its_comments_say():

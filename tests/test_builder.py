@@ -9,10 +9,10 @@ from tunnelfill import (
     ConstructionError,
     ExtendedSignSequence,
     ExtensionError,
-    ExtensionParams,
     InternalError,
     Monomial,
     NotRealizable,
+    PartialRealization,
     SignSequence,
     build_standard,
     check_correct_homology,
@@ -23,14 +23,8 @@ from tunnelfill import (
     realize,
     serialize,
 )
-from tunnelfill import standard
-from tunnelfill.builder import (
-    default_extension_params,
-    double,
-    extend_and_realize,
-    glue,
-    glue_offset,
-)
+from tunnelfill import builder, standard
+from tunnelfill.builder import double, extend_and_realize, glue, glue_offset
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import has_correct_homology
@@ -50,6 +44,11 @@ from conftest import (
 EXAMPLE = SignSequence((-1, 1, 2, -1, 1, 3))
 
 
+def lift_at(seq, n):
+    """The filler's outcome on C(n | seq | -n)."""
+    return decide(ExtendedSignSequence(n, seq, -n))
+
+
 class TestGlueOffset:
     def test_worked_example(self):
         assert glue_offset(EXAMPLE) == 1
@@ -64,7 +63,7 @@ class TestGlueOffset:
 
 class TestExtension:
     def test_worked_example_lift(self):
-        lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
+        lifted = lift_at(EXAMPLE, 4)
         c = lifted.complex
         added = {
             (c.generators[e.added.source].name, e.added.monomial.u,
@@ -77,49 +76,49 @@ class TestExtension:
             ("x4", 1, 4, "x-1"),
         }
 
-    @pytest.mark.parametrize("n1, n2", [(0, 3), (3, 0)])
-    def test_nonpositive_lengths_rejected(self, n1, n2):
-        with pytest.raises(ConstructionError, match="^extension lengths must be positive$"):
-            ExtensionParams(n1, n2)
-
-    def test_parameters_below_the_bound_rejected(self):
-        with pytest.raises(ConstructionError):
-            extend_and_realize(EXAMPLE, ExtensionParams(1, 4))
-
     def test_long_arrow_sequences_lift_at_the_minimum(self):
-        # max|a_i| + 1, one step below the default.
-        seq = SignSequence((2, 2, -3, 2))
-        lifted = extend_and_realize(seq, ExtensionParams(4, 4))
+        # max|a_i| + 1, one step below the length realize uses.
+        lifted = lift_at(SignSequence((2, 2, -3, 2)), 4)
+        assert isinstance(lifted, PartialRealization)
         assert differential_square(lifted.complex) == ()
 
     def test_default_lengths_lift_every_small_realizable_sequence(self):
         # At max|a_i| + 1, 84 of these sequences keep a unit gap at the seam
-        # and raise ExtensionError; max|a_i| + 2 lifts all of them.
-        lifted = 0
+        # and do not lift; max|a_i| + 2 lifts all of them.
+        lifted = short = 0
         for seq in census_sequences(2, 4):
             if isinstance(partial_realize(build_standard(seq)), NotRealizable):
                 continue
-            extend_and_realize(seq, default_extension_params(seq))
+            extend_and_realize(seq)
             lifted += 1
+            short += isinstance(lift_at(seq, seq.max_abs + 1), NotRealizable)
         assert lifted == 2416
+        assert short == 84
 
     def test_unit_gap_at_the_seam_needs_elongation(self):
         # The added end diagonal next to a maximal vertical arrow keeps a
         # unit exponent at the minimum margin, leaving an uncancellable
         # corner; one extra step of margin removes it.
         seq = SignSequence((1, -2, 2, -1))
-        with pytest.raises(ExtensionError):
-            extend_and_realize(seq, ExtensionParams(3, 3))
-        lifted = extend_and_realize(seq, ExtensionParams(4, 4))
-        assert differential_square(lifted.complex) == ()
-        assert isinstance(realize(seq), object) and not isinstance(
-            realize(seq), NotRealizable
-        )
+        assert isinstance(lift_at(seq, 3), NotRealizable)
+        assert differential_square(lift_at(seq, 4).complex) == ()
+        assert not isinstance(realize(seq), NotRealizable)
+
+    def test_a_failed_lift_raises_extension_error_with_its_obstructions(self, monkeypatch):
+        # No known input fails to lift at max|a_i| + 2, so the failure is
+        # the filler's outcome at the published length.
+        seq = SignSequence((1, -2, 2, -1))
+        short = lift_at(seq, 3)
+        monkeypatch.setattr(builder, "decide", lambda ext: short)
+        with pytest.raises(ExtensionError) as caught:
+            extend_and_realize(seq)
+        assert caught.value.obstructions == short.obstructions
+        assert len(caught.value.obstructions) == 2
 
 
 class TestDoubling:
     def test_worked_example_structure(self):
-        lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
+        lifted = lift_at(EXAMPLE, 4)
         c = double(lifted.complex)
         assert len(c.generators) == 2 * len(lifted.complex.generators)
 
@@ -141,7 +140,7 @@ class TestDoubling:
             assert c.generators[a.source].name == "y" + c.generators[a.target].name[1:]
 
     def test_doubled_gradings_shift_by_one_one(self):
-        lifted = extend_and_realize(EXAMPLE, ExtensionParams(4, 4))
+        lifted = lift_at(EXAMPLE, 4)
         c = double(lifted.complex)
         count = len(c.generators) // 2
         for x_id, y_id in zip(range(count), range(count, 2 * count)):
@@ -151,7 +150,7 @@ class TestDoubling:
     def test_doubled_complex_is_a_chain_complex_over_the_full_ring(self):
         for entries in [(-1, 1, 2, -1, 1, 3), (2, 2), (2, -2)]:
             seq = SignSequence(entries)
-            lifted = extend_and_realize(seq, default_extension_params(seq))
+            lifted = extend_and_realize(seq)
             doubled = double(lifted.complex)
             assert differential_square(doubled) == ()
             assert degree_violations(doubled) == []
@@ -163,14 +162,12 @@ class TestDoubling:
     def test_reduction_splits_into_two_extended_copies(self):
         for entries in [(-1, 1, 2, -1, 1, 3), (2, 2)]:
             seq = SignSequence(entries)
-            params = default_extension_params(seq)
-            lifted = extend_and_realize(seq, params)
+            lifted = extend_and_realize(seq)
             reduced = reduce_to(double(lifted.complex), R1)
             pieces = undirected_components(reduced)
             assert len(pieces) == 2
-            reference = build_extended(
-                ExtendedSignSequence(params.n1, seq, -params.n2)
-            )
+            n = seq.max_abs + 2
+            reference = build_extended(ExtendedSignSequence(n, seq, -n))
             for piece in pieces:
                 part = subcomplex(reduced, piece)
                 assert (
@@ -184,7 +181,7 @@ class TestDoubling:
         # black-then-green with green-then-red, red/red with itself or with
         # blue-then-green, and red-then-blue with blue-then-black.
         seq = SignSequence((2, 2))
-        lifted = extend_and_realize(seq, default_extension_params(seq))
+        lifted = extend_and_realize(seq)
         c = double(lifted.complex)
         out = c.outgoing
         paths = Counter()
@@ -253,7 +250,7 @@ class TestGluing:
         # glue places each arrow of the doubled complex once; an arrow placed
         # twice is x + x = 0 and leaves the glued complex, color and all.
         seq = SignSequence(entries)
-        doubled = double(extend_and_realize(seq, default_extension_params(seq)).complex)
+        doubled = double(extend_and_realize(seq).complex)
         glued = glue(doubled, seq)
         assert len(doubled.arrows) == placed
         assert len(glued.generators) == 9
@@ -265,13 +262,24 @@ class TestGluing:
         # A second y2 -> x2 arrow one diagonal step longer than the blue one
         # has no planar place; reading its monomial off the placement makes
         # it collide with the blue arrow, and the output checks refuse that.
-        c = double(extend_and_realize(EXAMPLE, default_extension_params(EXAMPLE)).complex)
+        c = double(extend_and_realize(EXAMPLE).complex)
         y2, x2 = id_of(c, "y2"), id_of(c, "x2")
         shifted = make_complex(
             RINF, c.generators, [*c.arrows, Arrow(y2, Monomial(2, 2), x2)], c.colors
         )
         with pytest.raises(InternalError):
             glue(shifted, EXAMPLE)
+
+    def test_an_arrow_against_the_placement_is_refused(self):
+        # x2 -> UV y2 runs against the blue y2 -> UV x2: the placement puts
+        # y2 above and right of x2, so the arrow's exponents come out negative.
+        c = double(extend_and_realize(EXAMPLE).complex)
+        x2, y2 = id_of(c, "x2"), id_of(c, "y2")
+        reversed_blue = make_complex(
+            RINF, c.generators, [*c.arrows, Arrow(x2, Monomial(1, 1), y2)], c.colors
+        )
+        with pytest.raises(InternalError, match=r"^placement forces exponents \(-2, -1\)$"):
+            glue(reversed_blue, EXAMPLE)
 
 
 class TestRealize:

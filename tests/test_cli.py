@@ -221,15 +221,20 @@ class TestRealizeVerifyRender:
         assert out == "NOT_REALIZABLE: obstruction at d²x2 term U^1V^1 x0\n"
         assert not doc.exists()
 
-    def test_explicit_lengths_too_short_are_an_error(self, capsys, tmp_path):
-        # Lengths given on the command line are used as given, never enlarged.
-        doc = tmp_path / "g.json"
-        code, _, err = run(
-            capsys, "realize", "-s", "1,-2,2,-1", "-o", str(doc), "--n1", "3", "--n2", "3"
-        )
-        assert code == 1
-        assert "error:" in err and "did not lift" in err
-        assert not doc.exists()
+    def test_explicit_lengths_too_short_are_an_error(self, capsys):
+        # decide on an extended sequence uses its lengths as given: the
+        # published max|a_i| + 1 leaves a corner at the seam, and the
+        # max|a_i| + 2 that realize uses lifts.
+        code, out, _ = run(capsys, "decide", "-s", "3 | 1,-2,2,-1 | -3")
+        assert code == 0
+        assert out.splitlines() == [
+            "NOT_REALIZABLE: obstruction at d²x1 term U^1V^3 x5",
+            "  no-adjacent-arrow at d²x1 term U^1V^3 x5",
+            "  no-adjacent-arrow at d²x3 term U^3V^1 x-1",
+        ]
+        code, out, _ = run(capsys, "decide", "-s", "4 | 1,-2,2,-1 | -4")
+        assert code == 0
+        assert out.splitlines()[0] == "REALIZABLE: 2 arrows added"
 
     def test_realize_rejects_an_extended_sequence(self, capsys, tmp_path):
         doc = tmp_path / "g.json"
@@ -237,29 +242,6 @@ class TestRealizeVerifyRender:
         assert code == 1 and out == ""
         assert err == "realize expects a plain sequence, not an extended one\n"
         assert not doc.exists()
-
-    def test_nonpositive_extension_lengths_are_an_error(self, capsys, tmp_path):
-        doc = tmp_path / "g.json"
-        code, out, err = run(
-            capsys, "realize", "-s", "1,-1", "--n1", "0", "--n2", "0", "-o", str(doc)
-        )
-        assert code == 1 and out == ""
-        assert err == "error: extension lengths must be positive\n"
-        assert not doc.exists()
-
-    def test_realize_needs_both_extension_lengths(self, capsys, tmp_path):
-        doc = tmp_path / "g.json"
-        code, out, err = run(capsys, "realize", "-s", "2,2", "-o", str(doc), "--n1", "4")
-        assert code == 1 and out == ""
-        assert err == "give both --n1 and --n2 or neither\n"
-        assert not doc.exists()
-
-    def test_custom_extension_lengths(self, capsys, tmp_path):
-        doc = tmp_path / "g.json"
-        code, out, _ = run(
-            capsys, "realize", "-s", "2,2", "-o", str(doc), "--n1", "5", "--n2", "6"
-        )
-        assert code == 0 and doc.exists()
 
     def test_unknown_check_rejected(self, capsys, tmp_path):
         doc = tmp_path / "g.json"

@@ -12,7 +12,6 @@ from tunnelfill import (
     ConstructionError,
     DocumentError,
     ExtendedSignSequence,
-    ExtensionParams,
     Generator,
     Grading,
     Monomial,
@@ -28,7 +27,6 @@ from tunnelfill import (
     realize,
     serialize,
 )
-from tunnelfill.builder import extend_and_realize
 from tunnelfill.rings import R1, RINF, RingLevel
 from tunnelfill.serial import NAMED_RINGS
 from tunnelfill.standard import build_extended
@@ -186,7 +184,7 @@ class TestDocumentValidation:
 
     def test_untruncated_ring_round_trips(self):
         seq = SignSequence((2, 2))
-        lifted = extend_and_realize(seq, ExtensionParams(3, 3))
+        lifted = decide(ExtendedSignSequence(3, seq, -3))
         doc = to_document(lifted.complex)
         assert doc["ring"] == "R2"
         assert parse(json.dumps(doc)) == lifted.complex
