@@ -82,7 +82,7 @@ def double(lifted: BasedComplex) -> BasedComplex:
                 f"input is not a chain complex over the level-2 ring: "
                 f"d^2 has the term {mono} from {x} to {y}"
             )
-        colors[Arrow(x, Monomial(mono.u - 1, mono.v - 1), count + y)] = GREEN
+        colors[Arrow(x, Monomial.of(mono.u - 1, mono.v - 1), count + y)] = GREEN
 
     y_gens = tuple(
         Generator("y" + g.name.removeprefix("x"), g.grading.shifted(-1, -1))
@@ -94,7 +94,7 @@ def double(lifted: BasedComplex) -> BasedComplex:
         colors[a] = BLACK
         colors[Arrow(count + a.source, a.monomial, count + a.target)] = RED
     for gid in range(count):
-        colors[Arrow(count + gid, Monomial(1, 1), gid)] = BLUE
+        colors[Arrow(count + gid, Monomial.of(1, 1), gid)] = BLUE
 
     return BasedComplex(RINF, lifted.generators + y_gens, frozenset(colors), colors)
 
@@ -154,13 +154,12 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
         g, (sc, sr), (tc, tr) = generators[source].grading, place[source], place[target]
         return Grading(g.gu + 2 * (sc - tc) - 1, g.gv + 2 * (sr - tr) - 1)
 
-    # Kept generators keep their gradings; the moved pair and z take the
-    # ones the degree equation forces along y0 -> y_-1, y_2n -> y_2n+1 and
-    # x_2n -> x_2n+1.
-    grading = {g: generators[g].grading for g in keep}
-    grading[y_first] = forced_grading(y0, y_first)
-    grading[y_last] = forced_grading(y_top, y_last)
-    gens = [Generator(generators[g].name, grading[g]) for g in keep]
+    # Kept generators are kept as they are; the moved pair and z take the
+    # gradings the degree equation forces along y0 -> y_-1, y_2n -> y_2n+1
+    # and x_2n -> x_2n+1.
+    gens = [generators[g] for g in keep]
+    for moved, source in ((y_first, y0), (y_last, y_top)):
+        gens[new_id[moved]] = Generator(generators[moved].name, forced_grading(source, moved))
     gens.append(Generator("z", forced_grading(x_top, x_last)))
 
     glued = BasedComplex(RINF, tuple(gens), frozenset(new_colors), new_colors)

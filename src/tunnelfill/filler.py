@@ -158,7 +158,7 @@ def forced_response(
         else:
             rest = budget - (adjacent.monomial.u if horizontal else adjacent.monomial.v)
             if rest > 0:
-                new_mono = Monomial(rest, 1) if horizontal else Monomial(1, rest)
+                new_mono = Monomial.of(rest, 1) if horizontal else Monomial.of(1, rest)
                 if pivot_is_target:
                     added = Arrow(x, new_mono, adjacent.source)
                     tag = "horizontal-first" if horizontal else "vertical-first"

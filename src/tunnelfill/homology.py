@@ -121,8 +121,12 @@ def homology_report(chain: QuotientChain) -> HomologyReport:
     torsion: dict[int, tuple[int, ...]] = {}
     for k in chain.degrees:
         block = chain.arrows[k]
-        if not block:
-            ranks[k] = 0
+        if len(block) < 2:
+            # No arrow, or one arrow t^power, which is its own Smith form;
+            # most blocks of a realization are one or the other.
+            ranks[k] = len(block)
+            if block and block[0][2]:
+                torsion[k - 1] = (block[0][2],)
             continue
         rows, columns, powers = zip(*block)
         # With no two arrows at one end the block is its own Smith form, so

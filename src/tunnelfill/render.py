@@ -4,8 +4,6 @@ decision procedure added, and the doubling color scheme when present."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .filler import ADDED_COLOR
 from .lattice import lattice_positions
 from .rings import BasedComplex
@@ -21,6 +19,12 @@ STROKES = {
 SCALE = 48
 MARGIN = 36
 DOT_RADIUS = 4
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML text, as xml.sax.saxutils.escape does; that
+    module's import pulls in urllib.request, http.client, email and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_svg(complex: BasedComplex, labels: bool = True) -> str:
@@ -72,7 +76,7 @@ def render_svg(complex: BasedComplex, labels: bool = True) -> str:
         if labels:
             lines.append(
                 f'<text x="{x + 6}" y="{y + 14}" font-size="12" '
-                f'font-family="sans-serif">{escape(g.name)}</text>'
+                f'font-family="sans-serif">{_escape(g.name)}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

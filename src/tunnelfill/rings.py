@@ -265,18 +265,23 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
     """
     out = complex.outgoing
     level = complex.ring.level
+    monomials = _MONOMIALS
     terms: set[Term] = set()
     paths = 0
-    for s, m1, t in complex.arrows:
+    for s, (u1, v1), t in complex.arrows:
         seconds = out.get(t, ())
         paths += len(seconds)
         if paths > PATH_BUDGET:
             raise SearchBudgetError(f"d^2 has over its budget of {PATH_BUDGET} two-arrow paths")
-        for second in seconds:
-            m2 = second.monomial
-            u, v = m1.u + m2.u, m1.v + m2.v
+        for _, (u2, v2), target in seconds:
+            u, v = u1 + u2, v1 + v2
             if u < level or v < level:
-                terms ^= {(s, Monomial.of(u, v), second.target)}
+                # A term reached an even number of times cancels over F2.
+                term = (s, monomials[u, v], target)
+                if term in terms:
+                    terms.remove(term)
+                else:
+                    terms.add(term)
     return tuple(sorted(terms))
 
 

@@ -179,7 +179,8 @@ def parse_document(doc: Any) -> BasedComplex:
             raise DocumentError(
                 f"arrow {i}: monomial {Monomial(u, v)} is zero in {doc['ring']}"
             )
-        arrow = Arrow(source, Monomial(u, v), target)
+        # u and v are checked nonnegative ints, so the interned lookup is safe.
+        arrow = Arrow(source, Monomial.of(u, v), target)
         if arrow in arrows:
             raise DocumentError(f"arrow {i}: duplicate of an earlier arrow")
         arrows.add(arrow)

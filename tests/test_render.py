@@ -104,6 +104,10 @@ class TestSvg:
             "7d660f0c9ddc8ad64e6175bce561fe6c82cd2c398dd47c5ef14f16e4173834c9"
         )
 
+    def test_labels_are_escaped(self):
+        c = make_complex(R1, [Generator("a<b&c>", Grading(0, 0))], [])
+        assert ">a&lt;b&amp;c&gt;</text>" in render_svg(c)
+
     def test_labels_can_be_disabled(self):
         c = build_standard(SignSequence((2, 2)))
         assert "<text" in render_svg(c)

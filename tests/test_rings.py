@@ -58,6 +58,17 @@ def reference_square(complex):
     }
 
 
+def parallel_paths(count):
+    """``count`` two-arrow paths from g0 through g1..g_count to the last
+    generator, each with the product U^2V^2 and through its own middle."""
+    halves = [((1, 1), (1, 1)), ((2, 0), (0, 2)), ((0, 2), (2, 0)), ((1, 0), (1, 2))]
+    last = count + 1
+    arrows = []
+    for middle, (first, second) in enumerate(halves[:count], start=1):
+        arrows += [Arrow(0, Monomial(*first), middle), Arrow(middle, Monomial(*second), last)]
+    return make_complex(RINF, [Generator(f"g{i}", Grading(0, 0)) for i in range(last + 1)], arrows)
+
+
 class TestMonomialZero:
     def test_exhaustive_zero_rule(self):
         for i in range(1, 7):
@@ -198,6 +209,9 @@ class TestDifferentialSquare:
         ),
         RINF,
     )
+    # A term reached by three paths survives; one reached by four cancels.
+    @example(parallel_paths(3), RINF)
+    @example(parallel_paths(4), RINF)
     @given(based_complexes(), st.sampled_from([R1, R2, RINF]))
     def test_terms_are_the_odd_surviving_paths(self, complex, ring):
         if ring < complex.ring:
