@@ -15,6 +15,14 @@ Three stages:
    keeps nonnegative exponents. Each arrow's monomial is its source's place
    less its target's; the degree and d^2 checks validate the result.
 
+   The places are the staircase of C(n | seq | -n), read off the sequence:
+   x_-1 at (0, 0), each entry added to the column at an odd chain position
+   and to the row at an even one, and y_i at x_i + (1, 1). Every arrow of
+   the doubled complex lies on it: links by construction, a forced filler
+   arrow because it closes a square with a placed two-arrow path and a
+   placed link, red arrows as a shifted copy, blue ones as the (1, 1) step
+   and green ones as placed two-arrow paths.
+
 Both extension lengths are max|a_i| + 2, chosen up front. At the published
 length, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
 unit exponent and leave an uncancellable corner at the seam. One more step
@@ -28,7 +36,6 @@ from __future__ import annotations
 from .errors import ConstructionError, ExtensionError, InternalError
 from .filler import NotRealizable, PartialRealization, decide, fill_links
 from .homology import has_correct_homology
-from .lattice import lattice_positions
 from .rings import (
     RINF,
     Arrow,
@@ -50,10 +57,27 @@ def glue_offset(seq: SignSequence) -> int:
     return seq.sign_sum() // 2
 
 
+def extension_length(seq: SignSequence) -> int:
+    """n = max|a_i| + 2, the length of both extension arrows of C(n | seq | -n)."""
+    return seq.max_abs + 2
+
+
+def staircase(seq: SignSequence) -> list[tuple[int, int]]:
+    """The place of each generator of ``double``'s complex for ``seq``, by
+    id: the running sums of C(n | seq | -n)'s entries from x_-1 at (0, 0),
+    then each y_i at x_i + (1, 1)."""
+    n = extension_length(seq)
+    xs = [(0, 0)]
+    for p, a in enumerate((n, *seq.entries, -n)):
+        c, r = xs[-1]
+        xs.append((c + a, r) if p % 2 else (c, r + a))
+    return xs + [(c + 1, r + 1) for c, r in xs]
+
+
 def extend_and_realize(seq: SignSequence) -> PartialRealization:
-    """Lift the extended complex C(n | seq | -n), n = max|a_i| + 2, to the
-    level-2 ring; raises ExtensionError should the lift ever fail."""
-    n = seq.max_abs + 2
+    """Lift the extended complex C(n | seq | -n), n = ``extension_length(seq)``,
+    to the level-2 ring; raises ExtensionError should the lift ever fail."""
+    n = extension_length(seq)
     outcome = decide(ExtendedSignSequence(n, seq, -n))
     if isinstance(outcome, NotRealizable):
         raise ExtensionError(
@@ -103,13 +127,23 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     """Merge the two extension endpoints into one far-away generator z.
 
     Every arrow keeps its endpoints, with both dropped generators replaced
-    by z, and its monomial is its source's place less its target's in the
-    planar placement. x_-1 is placed at the head copy of z and x_2n+1 at
-    the tail copy, |s| diagonal steps apart for the offset s; y_-1 and
-    y_2n+1 move next to them.
+    by z, and its monomial is its source's place less its target's on
+    ``staircase(seq)``, which reads the places off the sequence. Every
+    arrow ``double`` makes already lies there; a forced filler arrow does
+    because it closes a square with a placed path and a placed link. x_-1
+    is placed at the head copy of z and x_2n+1 at the tail copy, |s|
+    diagonal steps apart for the offset s; y_-1 and y_2n+1 move next to
+    them.
+
+    Raises ConstructionError when the complex is not the size of ``seq``'s.
     """
     s = glue_offset(seq)
-    place = lattice_positions(complex)
+    place = staircase(seq)
+    if len(place) != len(complex.generators):
+        raise ConstructionError(
+            f"the doubled extension of {seq} has {len(place)} generators, "
+            f"not {len(complex.generators)}"
+        )
 
     # ``double`` numbers x_-1 .. x_2n+1 from 0 and y_-1 .. y_2n+1 after them.
     count = len(complex.generators) // 2

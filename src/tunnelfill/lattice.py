@@ -10,6 +10,9 @@ may legitimately be reached at two positions differing by a diagonal step
 (k, k); the realizations produced by gluing draw their far corner twice
 this way. Any non-diagonal disagreement means the complex has no planar
 drawing at all and is reported as an error.
+
+``render`` is this module's only caller in the package: ``builder.glue``
+reads its places off the extended sequence by ``builder.staircase``.
 """
 
 from __future__ import annotations

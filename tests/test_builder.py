@@ -1,8 +1,10 @@
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from tunnelfill import (
     Arrow,
@@ -23,8 +25,8 @@ from tunnelfill import (
     realize,
     serialize,
 )
-from tunnelfill import builder, standard
-from tunnelfill.builder import double, extend_and_realize, glue, glue_offset
+from tunnelfill import builder, lattice, standard
+from tunnelfill.builder import double, extend_and_realize, glue, glue_offset, staircase
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import has_correct_homology
@@ -42,6 +44,52 @@ from conftest import (
 )
 
 EXAMPLE = SignSequence((-1, 1, 2, -1, 1, 3))
+LADDER = EXAMPLE.entries * 4
+MIRRORED_LADDER = LADDER + tuple(-a for a in reversed(LADDER))
+
+
+def long_sequences():
+    """The worked example repeated 1, 4 and 16 times, the mirrored 48-entry
+    ladder, then one seeded sequence for each n in 1..40 from the families
+    criterion 1 proves realizable: alternating signs with magnitudes 1-4, or
+    any signs with magnitudes 2-4, every other one mirrored."""
+    yield from (EXAMPLE.entries, LADDER, EXAMPLE.entries * 16, MIRRORED_LADDER)
+    rng = random.Random(35)
+    for n in range(1, 41):
+        mirrored = n % 2 == 0
+        count = n if mirrored else 2 * n
+        if n % 4 < 2:
+            sign = rng.choice((-1, 1))
+            entries = [sign * (-1) ** i * rng.randint(1, 4) for i in range(count)]
+        else:
+            entries = [rng.choice((-1, 1)) * rng.randint(2, 4) for _ in range(count)]
+        if mirrored:
+            entries += [-a for a in reversed(entries)]
+        yield tuple(entries)
+
+
+@st.composite
+def realizable_sequences(draw, max_n: int = 12):
+    """Up to 2 * max_n entries from the families of ``long_sequences``."""
+    count = 2 * draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from((-1, 1)))
+        sizes = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
+        return SignSequence(sign * (-1) ** i * a for i, a in enumerate(sizes))
+    signed = st.sampled_from((-4, -3, -2, 2, 3, 4))
+    return SignSequence(draw(st.lists(signed, min_size=count, max_size=count)))
+
+
+def assert_on_the_staircase(seq):
+    """The staircase of ``seq`` is the lattice search's placement of its
+    doubled complex, and every arrow there is its source's place less its
+    target's."""
+    doubled = double(extend_and_realize(seq).complex)
+    place = staircase(seq)
+    assert dict(enumerate(place)) == lattice.lattice_positions(doubled)
+    for a in doubled.arrows:
+        (sc, sr), (tc, tr) = place[a.source], place[a.target]
+        assert (a.monomial.u, a.monomial.v) == (sc - tc, sr - tr), a
 
 
 def lift_at(seq, n):
@@ -278,8 +326,43 @@ class TestGluing:
         reversed_blue = make_complex(
             RINF, c.generators, [*c.arrows, Arrow(x2, Monomial(1, 1), y2)], c.colors
         )
-        with pytest.raises(InternalError, match=r"^placement forces exponents \(-2, -1\)$"):
+        with pytest.raises(InternalError, match=r"^placement forces exponents \(-1, -1\)$"):
             glue(reversed_blue, EXAMPLE)
+
+
+class TestStaircase:
+    def test_worked_example(self):
+        # C(5 | -1,1,2,-1,1,3 | -5): x_-1 at the origin, then columns take the
+        # odd chain positions' entries and rows the even ones'.
+        xs = [(0, 0), (0, 5), (-1, 5), (-1, 6), (1, 6), (1, 5), (2, 5), (2, 8), (-3, 8)]
+        assert staircase(EXAMPLE) == xs + [(c + 1, r + 1) for c, r in xs]
+
+    def test_equals_the_lattice_search_on_the_census(self):
+        count = 0
+        for seq in census_sequences(2, 3):
+            if not isinstance(decide(seq), NotRealizable):
+                assert_on_the_staircase(seq)
+                count += 1
+        assert count == 636
+
+    @given(realizable_sequences())
+    def test_equals_the_lattice_search_on_long_sequences(self, seq):
+        assert_on_the_staircase(seq)
+
+    def test_glue_runs_no_lattice_search(self, monkeypatch):
+        def refuse(complex):
+            raise AssertionError("lattice_positions was called")
+
+        monkeypatch.setattr(lattice, "lattice_positions", refuse)
+        monkeypatch.setattr(builder, "lattice_positions", refuse, raising=False)
+        for entries in long_sequences():
+            assert not isinstance(realize(SignSequence(entries)), NotRealizable)
+
+    @pytest.mark.parametrize("other", [(2, 2), EXAMPLE.entries + (1, -1)])
+    def test_a_complex_of_another_sequence_length_is_refused(self, other):
+        doubled = double(extend_and_realize(EXAMPLE).complex)
+        with pytest.raises(ConstructionError, match="generators, not 18$"):
+            glue(doubled, SignSequence(other))
 
 
 class TestRealize:
@@ -295,6 +378,19 @@ class TestRealize:
         assert count == 636
         assert digest.hexdigest() == (
             "917231b2eab97561465779e3c85df4b105e89c2ce77d48b13d63e6ba9601cd47"
+        )
+
+    def test_long_realizations_are_pinned(self):
+        # Colours included, in the order of ``long_sequences``.
+        digest, count = hashlib.sha256(), 0
+        for entries in long_sequences():
+            glued = realize(SignSequence(entries))
+            assert not isinstance(glued, NotRealizable), entries
+            digest.update(serialize(glued, include_colors=True).encode())
+            count += 1
+        assert count == 44
+        assert digest.hexdigest() == (
+            "61e0eae484c4e263a38e997b96e210816e8951d2274aff8b85d9cec1b78b9e04"
         )
 
     def test_paper_verdicts(self):
