@@ -15,7 +15,6 @@ from .census import CensusRow, census_rows, write_census_csv
 from .errors import (
     ConstructionError,
     DocumentError,
-    ExtensionError,
     InternalError,
     InvalidLiftError,
     RenderError,
@@ -80,7 +79,6 @@ __all__ = [
     "TunnelFillError",
     "ConstructionError",
     "DocumentError",
-    "ExtensionError",
     "InternalError",
     "InvalidLiftError",
     "RenderError",

@@ -29,11 +29,13 @@ unit exponent and leave an uncancellable corner at the seam. One more step
 lifts, doubles and glues every realizable sequence with n <= 3, |a_i| <= 4
 (114,270 of them) with the right homology. ``decide`` on an extended
 sequence, such as C(3 | 1,-2,2,-1 | -3), shows which lengths lift.
+``realize`` decides the body first, so the extension must lift: a failure
+is an InternalError.
 """
 
 from __future__ import annotations
 
-from .errors import ConstructionError, ExtensionError, InternalError
+from .errors import ConstructionError, InternalError
 from .filler import NotRealizable, PartialRealization, decide, fill_links
 from .homology import has_correct_homology
 from .rings import (
@@ -76,13 +78,16 @@ def staircase(seq: SignSequence) -> list[tuple[int, int]]:
 
 def extend_and_realize(seq: SignSequence) -> PartialRealization:
     """Lift the extended complex C(n | seq | -n), n = ``extension_length(seq)``,
-    to the level-2 ring; raises ExtensionError should the lift ever fail."""
+    to the level-2 ring. It must lift when ``seq`` does, so a failure is an
+    InternalError naming the length and the first obstruction."""
     n = extension_length(seq)
     outcome = decide(ExtendedSignSequence(n, seq, -n))
     if isinstance(outcome, NotRealizable):
-        raise ExtensionError(
-            f"extended complex of {seq} at extension length {n} did not lift",
-            outcome.obstructions,
+        first = outcome.obstructions[0]
+        (x, mono, y), names = first.cause, outcome.partial_progress.generators
+        raise InternalError(
+            f"extended complex of {seq} did not lift at extension length {n}: "
+            f"{first.reason} at d^2 {names[x].name} term {mono} {names[y].name}"
         )
     return outcome
 
@@ -133,7 +138,8 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     because it closes a square with a placed path and a placed link. x_-1
     is placed at the head copy of z and x_2n+1 at the tail copy, |s|
     diagonal steps apart for the offset s; y_-1 and y_2n+1 move next to
-    them.
+    them. The arrows are read in any order: a repeated arrow cancels in
+    pairs, and the first arrow met off the staircase raises.
 
     Raises ConstructionError when the complex is not the size of ``seq``'s.
     """
@@ -169,7 +175,7 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     # checks below still have to pass.
     new_colors: dict[Arrow, str] = {}
     colors = complex.colors
-    for a in sorted(complex.arrows):
+    for a in complex.arrows:
         source, _, target = a
         if source == x_first or source == x_last:
             raise InternalError(f"unexpected arrow out of a dropped endpoint: {a}")

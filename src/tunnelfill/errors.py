@@ -18,17 +18,8 @@ class InvalidLiftError(TunnelFillError):
 
 
 class InternalError(TunnelFillError):
-    """An internal invariant failed; indicates a bug, not bad input."""
-
-
-class ExtensionError(TunnelFillError):
-    """The extended complex failed to lift at extension length
-    max|a_i| + 2, which no known input does; ``obstructions`` holds the
-    filler's reasons."""
-
-    def __init__(self, message, obstructions=()):
-        super().__init__(message)
-        self.obstructions = tuple(obstructions)
+    """An internal invariant failed; a bug, not bad input. The causes include
+    a liftable sequence whose extension fails to lift."""
 
 
 class SequenceParseError(TunnelFillError):

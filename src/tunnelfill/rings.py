@@ -243,12 +243,15 @@ def add_arrows(
 
 
 def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
-    """Reinterpret the same arrows over a larger quotient."""
+    """The same complex over a larger quotient, as a view: it shares the
+    generators, arrows, colors, ``links`` and built indexes, checking nothing."""
     if target.level < complex.ring.level:
         raise InvalidLiftError(
             f"cannot lift {complex.ring} to the smaller ring {target}"
         )
-    return BasedComplex(target, complex.generators, complex.arrows, complex.colors)
+    lifted = object.__new__(BasedComplex)
+    lifted.__dict__.update(complex.__dict__, ring=target)
+    return lifted
 
 
 # The most two-arrow paths differential_square reads, and so terms it holds;

@@ -695,6 +695,81 @@ def conjugate(complex: BasedComplex) -> BasedComplex:
     return BasedComplex(complex.ring, gens, frozenset(swap.values()), colors)
 
 
+def random_degree_valid_complex(rng: random.Random) -> BasedComplex:
+    """A complex over the full ring with 1-7 generators, gradings in
+    [-3, 3]^2 that are swap-symmetric as a multiset in about 70% of draws,
+    and each degree-valid arrow kept with probability 1/2: s -> U^u V^v t
+    with gr(t) - 2(u, v) = gr(s) - (1, 1), u, v >= 0 and not both 0. There
+    is no d^2 condition."""
+    count = rng.randint(1, 7)
+    coords = range(-3, 4)
+    gradings: list[tuple[int, int]] = []
+    if rng.random() < 0.7:
+        while len(gradings) < count:
+            a, b = rng.choice(coords), rng.choice(coords)
+            if a == b:
+                gradings.append((a, a))
+            elif len(gradings) + 2 <= count:
+                gradings += [(a, b), (b, a)]
+        rng.shuffle(gradings)
+    else:
+        gradings = [(rng.choice(coords), rng.choice(coords)) for _ in range(count)]
+    arrows = []
+    for s, t in itertools.permutations(range(count), 2):
+        du, dv = gradings[t][0] - gradings[s][0] + 1, gradings[t][1] - gradings[s][1] + 1
+        if du % 2 or dv % 2 or du < 0 or dv < 0 or not (du or dv):
+            continue
+        if rng.random() < 0.5:
+            arrows.append(Arrow(s, Monomial(du // 2, dv // 2), t))
+    gens = [Generator(f"g{i}", Grading(*g)) for i, g in enumerate(gradings)]
+    return make_complex(RINF, gens, arrows)
+
+
+def symmetric_by_brute_force(complex: BasedComplex) -> bool:
+    """Whether some bijection taking each generator to one of the swapped
+    grading carries the arrows onto the conjugate's, trying every such
+    bijection class by class."""
+    conj = conjugate(complex)
+    sources: dict[Grading, list[int]] = {}
+    images: dict[Grading, list[int]] = {}
+    for i, (g, h) in enumerate(zip(complex.generators, conj.generators)):
+        sources.setdefault(g.grading, []).append(i)
+        images.setdefault(h.grading, []).append(i)
+    if any(len(ids) != len(images.get(g, ())) for g, ids in sources.items()):
+        return False
+    gradings = list(sources)
+    for choice in itertools.product(*(itertools.permutations(images[g]) for g in gradings)):
+        mapping = {
+            x: y for g, image in zip(gradings, choice) for x, y in zip(sources[g], image)
+        }
+        if {Arrow(mapping[s], m, mapping[t]) for s, m, t in complex.arrows} == conj.arrows:
+            return True
+    return False
+
+
+def dense_square(complex: BasedComplex) -> tuple[tuple[int, Monomial, int], ...]:
+    """d^2 as the square of the arrow matrix over F2[U, V], sorted like
+    ``differential_square``: entry (s, t) of the matrix is the set of
+    exponents of the arrows from s to t, so that a product summed mod 2 is
+    a symmetric difference, and each monomial with min(u, v) >= level is
+    dropped. Reads the arrow set only, no adjacency index."""
+    n = len(complex.generators)
+    d = [[set() for _ in range(n)] for _ in range(n)]
+    for s, m, t in complex.arrows:
+        d[s][t] ^= {(m.u, m.v)}
+    terms = []
+    for s, t in itertools.product(range(n), repeat=2):
+        entry: set[tuple[int, int]] = set()
+        for k in range(n):
+            for u1, v1 in d[s][k]:
+                for u2, v2 in d[k][t]:
+                    entry ^= {(u1 + u2, v1 + v2)}
+        terms += [
+            (s, Monomial(u, v), t) for u, v in entry if min(u, v) < complex.ring.level
+        ]
+    return tuple(sorted(terms))
+
+
 def reference_isomorphism(
     first: BasedComplex, second: BasedComplex
 ) -> dict[int, int] | None:

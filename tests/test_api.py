@@ -28,7 +28,7 @@ PUBLIC = {
     # Census and oracle
     "census_rows", "write_census_csv", "CensusRow", "oracle_decide", "OracleResult",
     # Errors
-    "TunnelFillError", "ConstructionError", "DocumentError", "ExtensionError",
+    "TunnelFillError", "ConstructionError", "DocumentError",
     "InternalError", "InvalidLiftError", "RenderError",
     "SearchBudgetError", "SequenceParseError", "UnknownGeneratorError",
 }
@@ -38,9 +38,9 @@ def test_star_import_binds_exactly_the_public_api():
     namespace = {}
     exec("from tunnelfill import *", namespace)
     del namespace["__builtins__"]
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 37
     assert set(namespace) == PUBLIC
-    assert len(tunnelfill.__all__) == 38
+    assert len(tunnelfill.__all__) == 37
 
 
 def test_readme_library_block_does_what_its_comments_say():

@@ -10,7 +10,6 @@ from tunnelfill import (
     Arrow,
     ConstructionError,
     ExtendedSignSequence,
-    ExtensionError,
     InternalError,
     Monomial,
     NotRealizable,
@@ -152,16 +151,24 @@ class TestExtension:
         assert differential_square(lift_at(seq, 4).complex) == ()
         assert not isinstance(realize(seq), NotRealizable)
 
-    def test_a_failed_lift_raises_extension_error_with_its_obstructions(self, monkeypatch):
+    def test_a_failed_lift_raises_internal_error_naming_the_first_obstruction(
+        self, monkeypatch
+    ):
         # No known input fails to lift at max|a_i| + 2, so the failure is
         # the filler's outcome at the published length.
         seq = SignSequence((1, -2, 2, -1))
         short = lift_at(seq, 3)
+        assert len(short.obstructions) == 2
+        first = short.obstructions[0]
+        x, mono, y = first.cause
+        names = short.partial_progress.generators
         monkeypatch.setattr(builder, "decide", lambda ext: short)
-        with pytest.raises(ExtensionError) as caught:
+        with pytest.raises(InternalError) as caught:
             extend_and_realize(seq)
-        assert caught.value.obstructions == short.obstructions
-        assert len(caught.value.obstructions) == 2
+        assert str(caught.value) == (
+            f"extended complex of {seq} did not lift at extension length 4: "
+            f"{first.reason} at d^2 {names[x].name} term {mono} {names[y].name}"
+        )
 
 
 class TestDoubling:

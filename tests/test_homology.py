@@ -45,11 +45,13 @@ from conftest import (
     layered_probe,
     long_symmetric_sequence,
     make_complex,
+    random_degree_valid_complex,
     random_small_complex,
     reference_isomorphism,
     relabelled,
     sign_sequences,
     signature_rounds,
+    symmetric_by_brute_force,
     translated_onto,
 )
 
@@ -151,6 +153,18 @@ class TestSymmetry:
     def test_conjugating_preserves_the_verdict(self, seq):
         c = build_standard(seq)
         assert (check_symmetry(c) is None) == (check_symmetry(conjugate(c)) is None)
+
+    def test_random_degree_valid_documents_match_brute_force(self):
+        rng = random.Random(7)
+        verdicts = {True: 0, False: 0}
+        for draw in range(10000):
+            complex = random_degree_valid_complex(rng)
+            witness = check_symmetry(complex)
+            assert (witness is not None) == symmetric_by_brute_force(complex), draw
+            if witness is not None:
+                assert is_based_isomorphism(complex, conjugate(complex), witness), draw
+            verdicts[witness is not None] += 1
+        assert min(verdicts.values()) > 3000
 
     def test_palindromic_antisymmetry_matches_the_search(self):
         # Observed closed form on the small census: symmetric exactly when

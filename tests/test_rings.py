@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ from hypothesis import example, given
 
 from tunnelfill import (
     Arrow,
+    BasedComplex,
     ConstructionError,
     Generator,
     Grading,
@@ -38,8 +40,10 @@ from conftest import (
     arrow_by_names,
     based_complexes,
     candidate_monomial,
+    dense_square,
     id_of,
     make_complex,
+    random_degree_valid_complex,
     reduce_to,
 )
 
@@ -148,6 +152,24 @@ class TestReduceLift:
         with pytest.raises(InvalidLiftError):
             lift_to(lift_to(seq(1, 1), R2), R1)
 
+    def test_lift_is_a_view_sharing_everything_already_built(self, monkeypatch):
+        c = seq(-1, 1, 2, -1, 1, 3)
+        index = c.outgoing
+        built = BasedComplex(R2, c.generators, c.arrows, c.colors)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("lift_to built a complex")
+
+        monkeypatch.setattr(BasedComplex, "__init__", refuse)
+        lifted = lift_to(c, R2)
+        assert lifted == built
+        assert (lifted.ring, c.ring) == (R2, R1)
+        assert lifted.generators is c.generators
+        assert lifted.arrows is c.arrows
+        assert lifted.colors is c.colors
+        assert lifted.links is c.links is not None
+        assert lifted.outgoing is index
+
     @given(based_complexes())
     def test_reduce_after_lift_is_identity(self, complex):
         assert reduce_to(lift_to(complex, RINF), complex.ring) == complex
@@ -224,6 +246,19 @@ class TestDifferentialSquare:
         for sequence in census_sequences(3, 3):
             complex = lift_to(build_standard(sequence), R2)
             assert set(differential_square(complex)) == reference_square(complex), sequence
+
+    def test_random_degree_valid_documents_match_the_dense_square(self):
+        rng = random.Random(7)
+        nonzero = 0
+        for draw in range(10000):
+            drawn = random_degree_valid_complex(rng)
+            for ring in (R2, RINF):
+                complex = make_complex(ring, drawn.generators, drawn.arrows)
+                square = differential_square(complex)
+                assert square == dense_square(complex), (draw, ring)
+                nonzero += bool(square)
+        # Enough draws with a surviving term that a wrong one would show.
+        assert nonzero > 2000
 
     @given(based_complexes())
     def test_terms_come_out_sorted_whatever_the_arrow_order(self, complex):
