@@ -23,8 +23,10 @@ adjacency index. It returns one record of what it added, each added arrow
 mapped to the event that forced it in order of addition, with the
 obstructions of the stage that failed. Only ``partial_realize``, which takes
 a chain built by ``build_standard`` or ``build_extended``, builds a complex:
-its output, once, from the added arrows. ``differential_square`` is not used
-here: it stays the independent check of the finished complex.
+its output, once, from the added arrows. It checks the ends of only the added
+arrows, since the chain's were checked when the chain was built, and it
+reuses the chain's arrow set when none were added. ``differential_square``
+is not used here: it stays the independent check of the finished complex.
 
 Arrows added in one stage never interact, so the procedure may add them in
 any order (or all at once) and always converges to the same arrow set. Each
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, InternalError
-from .rings import R2, Arrow, BasedComplex, Monomial, Term
+from .rings import _MONOMIALS, R2, Arrow, BasedComplex, Term, insert_arrows
 from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
 
 # A two-arrow path, first arrow then second.
@@ -67,6 +69,15 @@ class ForcedArrowEvent:
     case_tag: str
     added: Arrow
 
+    def __init__(self, cause: Term, case_tag: str, added: Arrow):
+        # Written out, as in BasedComplex: the frozen dataclass __init__
+        # assigns each field through object.__setattr__, and a stage builds
+        # one event per cause.
+        fields = self.__dict__
+        fields["cause"] = cause
+        fields["case_tag"] = case_tag
+        fields["added"] = added
+
 
 @dataclass(frozen=True)
 class Obstruction:
@@ -74,6 +85,12 @@ class Obstruction:
 
     cause: Term
     reason: str
+
+    def __init__(self, cause: Term, reason: str):
+        # Written out, as in ForcedArrowEvent.
+        fields = self.__dict__
+        fields["cause"] = cause
+        fields["reason"] = reason
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,8 @@ def _unique_adjacent(links, gid, horizontal):
     # kind, the path via w's link is the cancelled one, and c's link leaves
     # or enters c as the arrow does, so the two form no path.
     for link in links[gid - 1 : gid + 1]:
-        if link.monomial.is_horizontal == horizontal:
+        # No link is a unit arrow, so it is horizontal exactly when it has no V.
+        if (not link.monomial.v) == horizontal:
             return link
     return None
 
@@ -158,7 +176,7 @@ def forced_response(
         else:
             rest = budget - (adjacent.monomial.u if horizontal else adjacent.monomial.v)
             if rest > 0:
-                new_mono = Monomial.of(rest, 1) if horizontal else Monomial.of(1, rest)
+                new_mono = _MONOMIALS[rest, 1] if horizontal else _MONOMIALS[1, rest]
                 if pivot_is_target:
                     added = Arrow(x, new_mono, adjacent.source)
                     tag = "horizontal-first" if horizontal else "vertical-first"
@@ -171,13 +189,17 @@ def forced_response(
     return obstructions
 
 
-def _link_neighbours(links: Sequence[Arrow], arrows: Iterable[Arrow]):
+def _link_neighbours(
+    links: Sequence[Arrow], arrows: Iterable[Arrow]
+) -> list[tuple[Arrow, Arrow]]:
     """Each of ``arrows`` paired with each link that shares an end with it."""
+    pairs = []
     for arrow in arrows:
         for end in arrow.source, arrow.target:
             # links[0] too at id 0: an arrow forced along it cancels its cause.
             for link in links[max(end - 1, 0) : end + 1]:
-                yield arrow, link
+                pairs.append((arrow, link))
+    return pairs
 
 
 def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> StageCauses:
@@ -186,6 +208,7 @@ def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> Stage
     path cancels the term. Return the causes among the terms filed: those
     that still have their path."""
     level = R2.level
+    monomials = _MONOMIALS
     terms = []
     for a, b in pairs:
         if a.target == b.source:
@@ -197,7 +220,7 @@ def _file_paths(table: PathTable, pairs: Iterable[tuple[Arrow, Arrow]]) -> Stage
         (u1, v1), (u2, v2) = first.monomial, second.monomial
         u, v = u1 + u2, v1 + v2
         if u < level or v < level:
-            term = (first.source, Monomial.of(u, v), second.target)
+            term = (first.source, monomials[u, v], second.target)
             if not (u and v):
                 raise InternalError(
                     f"d^2 term {term[1]} from {term[0]} to {term[2]} has a zero "
@@ -267,12 +290,12 @@ def partial_realize(complex: BasedComplex) -> DecisionOutcome:
             "partial_realize takes a chain built by build_standard or build_extended"
         )
     added, obstructions = fill_links(links)
-    # A plain union inserts the added arrows: fill_links refuses an arrow
-    # forced twice or already present in any stage, each is diagonal and no
-    # link is, so none cancels a chain arrow, and each has a unit exponent,
-    # so none vanishes over R2.
-    colors = dict.fromkeys(added, ADDED_COLOR)
-    filled = BasedComplex(R2, complex.generators, complex.arrows.union(added), colors)
+    # A plain insertion is right: fill_links refuses an arrow forced twice or
+    # already present in any stage, each is diagonal and no link is, so none
+    # cancels a chain arrow, and each has a unit exponent, so none vanishes
+    # over R2. Only the added arrows' ends are checked, as _chain checked the
+    # chain's, and the chain's arrow set is reused when nothing was added.
+    filled = insert_arrows(complex, R2, added, ADDED_COLOR)
     if obstructions:
         return NotRealizable(obstructions, filled)
     return PartialRealization(filled, tuple(added.values()))

@@ -241,6 +241,11 @@ def _isomorphism(gradings1, arrows1, gradings2, arrows2):
             stack += [(colour, cell[0], b) for b in reversed(cell[len(cell) // 2 :])]
             continue
         image = dict(sorted((x, y - n) for x, y in cells.values()))
+        # A refinement that leaves only pairs is discrete and equitable, so
+        # the pairing already carries arrows onto arrows, and this check
+        # never fails while _refine is right. It stays as the guard that
+        # makes a faulty refinement or pruning cost completeness, never
+        # soundness.
         if {(image[s], u, v, image[t]) for s, u, v, t in arrows1} == targets:
             return image
     return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
     ConstructionError,
@@ -174,6 +174,15 @@ class _Adjacency:
         return index
 
 
+def _check_ends(arrows: Iterable[Arrow], count: int) -> None:
+    """Raise UnknownGeneratorError unless every arrow end is an id below ``count``."""
+    for s, _, t in arrows:
+        if not (0 <= s < count and 0 <= t < count):
+            raise UnknownGeneratorError(
+                f"no generator with id {t if 0 <= s < count else s}"
+            )
+
+
 @dataclass(frozen=True)
 class BasedComplex:
     """Free based module with an endomorphism, over one truncation level.
@@ -196,15 +205,10 @@ class BasedComplex:
         arrows: frozenset[Arrow],
         colors: dict[Arrow, str] | None = None,
     ):
-        count = len(generators)
-        for s, _, t in arrows:
-            if not (0 <= s < count and 0 <= t < count):
-                raise UnknownGeneratorError(
-                    f"no generator with id {t if 0 <= s < count else s}"
-                )
+        _check_ends(arrows, len(generators))
         # Written out, not generated: the frozen dataclass __init__ assigns
-        # each field through object.__setattr__, and every built chain, each
-        # decision's outcome and both realization steps come through here.
+        # each field through object.__setattr__, and every built chain and
+        # both realization steps come through here.
         fields = self.__dict__
         fields["ring"] = ring
         fields["generators"] = generators
@@ -252,6 +256,25 @@ def lift_to(complex: BasedComplex, target: RingLevel) -> BasedComplex:
     lifted = object.__new__(BasedComplex)
     lifted.__dict__.update(complex.__dict__, ring=target)
     return lifted
+
+
+def insert_arrows(
+    complex: BasedComplex, ring: RingLevel, new: Collection[Arrow], color: str
+) -> BasedComplex:
+    """``complex`` over ``ring`` with the arrows ``new`` inserted, each
+    colored ``color``; none may be present already or vanish over ``ring``.
+    Only the ends of ``new`` are checked: the others were checked when
+    ``complex`` was built. The result shares the generators, and the arrow
+    set when ``new`` is empty, but not ``links`` or a built index."""
+    arrows = complex.arrows
+    if new:
+        _check_ends(new, len(complex.generators))
+        arrows = arrows.union(new)
+    inserted = object.__new__(BasedComplex)
+    inserted.__dict__.update(
+        ring=ring, generators=complex.generators, arrows=arrows, colors=dict.fromkeys(new, color)
+    )
+    return inserted
 
 
 # The most two-arrow paths differential_square reads, and so terms it holds;

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -15,6 +16,7 @@ from tunnelfill import (
     NotRealizable,
     PartialRealization,
     SignSequence,
+    TunnelFillError,
     build_standard,
     decide,
     differential_square,
@@ -497,8 +499,9 @@ class TestTheFirstGenerator:
 
 
 class TestOneConstructionPerDecision:
-    """A decision builds two complexes: the chain, and its outcome with the
-    added arrows, in one step."""
+    """A decision builds one checked complex, the chain. Its outcome shares
+    the chain's generators, and its arrow set when nothing was added, and
+    checks the ends of only the added arrows."""
 
     @pytest.mark.parametrize(
         "text, realizable",
@@ -525,4 +528,74 @@ class TestOneConstructionPerDecision:
         # Every case adds arrows, obstructed or not.
         result = outcome.complex if realizable else outcome.partial_progress
         assert result.colors
-        assert built == [R1, R2]
+        assert built == [R1]
+
+    @staticmethod
+    def assert_outcome_as_if_built(chain):
+        outcome = partial_realize(chain)
+        if isinstance(outcome, PartialRealization):
+            result, added = outcome.complex, [e.added for e in outcome.added]
+        else:
+            result = outcome.partial_progress
+            added = sorted(result.arrows - chain.arrows)
+        colors = dict.fromkeys(added, filler.ADDED_COLOR)
+        built = rings.BasedComplex(R2, chain.generators, chain.arrows | set(added), colors)
+        assert result == built
+        assert (result.ring, result.generators) == (R2, chain.generators)
+        assert result.arrows == built.arrows
+        assert result.colors == colors
+        assert result.generators is chain.generators
+        if not added:
+            assert result.arrows is chain.arrows
+        assert result.links is None
+        assert "outgoing" not in result.__dict__
+        assert "incoming" not in result.__dict__
+        return bool(added)
+
+    def test_outcome_equals_the_checked_complex(self):
+        # Outcomes with and without added arrows, per kind of chain.
+        counts = collections.Counter()
+        for seq in census_sequences(2, 3):
+            counts["standard", self.assert_outcome_as_if_built(build_standard(seq))] += 1
+            n = seq.max_abs + 2
+            extended = build_extended(ExtendedSignSequence(n, seq, -n))
+            counts["extended", self.assert_outcome_as_if_built(extended)] += 1
+        # Seeded random chains of 2-200 entries: uniform entries, which
+        # nearly always stop at stage 1 with nothing added, and runs of short
+        # sequences that lift by adding arrows, which add arrows more often.
+        rng = random.Random(37)
+        pieces = [
+            seq.entries
+            for seq in census_sequences(2, 3)
+            if isinstance(outcome := decide(seq), PartialRealization) and outcome.added
+        ]
+        for _ in range(200):
+            count = 2 * rng.randint(1, 100)
+            entries = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(count)]
+            chain = build_standard(SignSequence(entries))
+            counts["uniform", self.assert_outcome_as_if_built(chain)] += 1
+            entries = []
+            while len(entries) < count:
+                entries += rng.choice(pieces)
+            chain = build_standard(SignSequence(entries[:count]))
+            counts["runs", self.assert_outcome_as_if_built(chain)] += 1
+        assert len(counts) == 8
+        assert min(counts.values()) > 0
+        assert counts["runs", True] > 10
+
+    @pytest.mark.parametrize("missing", [-1, 7, 1_000])
+    def test_an_added_arrow_to_a_missing_id_is_refused(self, monkeypatch, missing):
+        respond = filler.forced_response
+
+        def stray(links, cause, path):
+            response = respond(links, cause, path)
+            if isinstance(response, ForcedArrowEvent):
+                source, monomial, _ = response.added
+                response = dataclasses.replace(response, added=Arrow(source, monomial, missing))
+            return response
+
+        monkeypatch.setattr(filler, "forced_response", stray)
+        outcomes = []
+        with pytest.raises(TunnelFillError, match=f"no generator with id {missing}"):
+            outcomes.append(decide(parse_sequence("-1,1,2,-1,1,3")))
+        assert outcomes == []

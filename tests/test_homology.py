@@ -537,6 +537,18 @@ class TestReadOff:
         assert len(realized) == 636
         assert snf_calls == []
 
+    def test_random_degree_valid_documents(self, snf_calls):
+        # The draws need not be chain complexes; the reports are compared
+        # anyway. About 4% of them have a block that is not read off.
+        rng = random.Random(11)
+        eliminated = 0
+        for draw in range(10000):
+            complex = random_degree_valid_complex(rng)
+            calls = len(snf_calls)
+            assert check_correct_homology(complex) == eliminated_reports(complex), draw
+            eliminated += len(snf_calls) > calls
+        assert eliminated > 100
+
     @pytest.mark.parametrize(
         "rows",
         [
