@@ -1,27 +1,28 @@
 """Constructive pipeline from a liftable sign sequence to an explicit
 chain complex over F2[U, V] realizing its local equivalence class.
 
-Three stages:
+Two stages:
 
 1. extend: append a long vertical arrow below x_0 and a long horizontal
    arrow left of x_2n, then lift the extended complex to the level-2 ring
    (the tunnel filler adds the forced end diagonals).
-2. double: lay a second copy of the lifted complex one diagonal step up,
-   join the copies with unit-diagonal arrows y_i -> UV x_i, and cancel the
-   full-ring d^2 terms U^a V^b (a, b >= 2) with correction arrows
-   x_i -> U^(a-1) V^(b-1) y_j.
-3. glue: replace both extension endpoints with a single generator z placed
-   far below and to the left, repositioning y_-1 and y_2n+1 so every arrow
-   keeps nonnegative exponents. Each arrow's monomial is its source's place
-   less its target's; the degree and d^2 checks validate the result.
+2. double and glue, in one pass: lay a second copy of the lifted complex
+   one diagonal step up, join the copies with unit-diagonal arrows
+   y_i -> UV x_i, and cancel the full-ring d^2 terms U^a V^b (a, b >= 2)
+   with correction arrows x_i -> U^(a-1) V^(b-1) y_j. As each of these
+   arrows is read it is glued: both extension endpoints become a single
+   generator z placed far below and to the left, and y_-1 and y_2n+1 move
+   so every arrow keeps nonnegative exponents. Each arrow's monomial is
+   its source's place less its target's; the degree and d^2 checks
+   validate the result. The doubled complex itself is never built.
 
    The places are the staircase of C(n | seq | -n), read off the sequence:
    x_-1 at (0, 0), each entry added to the column at an odd chain position
-   and to the row at an even one, and y_i at x_i + (1, 1). Every arrow of
-   the doubled complex lies on it: links by construction, a forced filler
-   arrow because it closes a square with a placed two-arrow path and a
-   placed link, red arrows as a shifted copy, blue ones as the (1, 1) step
-   and green ones as placed two-arrow paths.
+   and to the row at an even one, and y_i at x_i + (1, 1). Every doubled
+   arrow lies on it: links by construction, a forced filler arrow because
+   it closes a square with a placed two-arrow path and a placed link, red
+   arrows as a shifted copy, blue ones as the (1, 1) step and green ones
+   as placed two-arrow paths.
 
 Both extension lengths are max|a_i| + 2, chosen up front. At the published
 length, max|a_i| + 1, an end diagonal next to a maximal arrow can keep a
@@ -35,10 +36,13 @@ is an InternalError.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import ConstructionError, InternalError
 from .filler import NotRealizable, PartialRealization, decide, fill_links
 from .homology import has_correct_homology
 from .rings import (
+    _MONOMIALS,
     RINF,
     Arrow,
     BasedComplex,
@@ -92,67 +96,86 @@ def extend_and_realize(seq: SignSequence) -> PartialRealization:
     return outcome
 
 
+def _doubled_generators(lifted: BasedComplex) -> tuple[Generator, ...]:
+    """The lift's generators, then the y copy of each one step up the
+    diagonal: y_i at x_i's grading less (1, 1), named as x_i under the
+    prefix y."""
+    xs = lifted.generators
+    return xs + tuple(
+        Generator("y" + g.name.removeprefix("x"), g.grading.shifted(-1, -1)) for g in xs
+    )
+
+
+def _doubled_arrows(lifted: BasedComplex) -> Iterator[tuple[int, Monomial, int, str]]:
+    """Each arrow of the doubled complex once, as (source, monomial, target,
+    color), the second copy's ids following the first's: every black arrow
+    with its red copy, then the blue arrows, then the green ones.
+
+    Each color joins its own pairs of copies (black x to x, red y to y, blue
+    y to x, green x to y), so no two coincide; and a green monomial is
+    U^(a-1) V^(b-1) with a, b >= 2, as smaller terms raise first, before any
+    arrow is yielded, so no arrow is a unit or a self-loop and none vanishes
+    over the full ring."""
+    count = len(lifted.generators)
+    greens = []
+    for x, mono, y in differential_square(lift_to(lifted, RINF)):
+        u, v = mono
+        if u <= 1 or v <= 1:
+            raise ConstructionError(
+                f"input is not a chain complex over the level-2 ring: "
+                f"d^2 has the term {mono} from {x} to {y}"
+            )
+        greens.append((x, _MONOMIALS[u - 1, v - 1], count + y, GREEN))
+
+    for s, mono, t in lifted.arrows:
+        yield s, mono, t, BLACK
+        yield count + s, mono, count + t, RED
+    unit = _MONOMIALS[1, 1]
+    for gid in range(count):
+        yield count + gid, unit, gid, BLUE
+    yield from greens
+
+
 def double(lifted: BasedComplex) -> BasedComplex:
     """Join two copies of a level-2 chain complex into a chain complex over
     the full ring, using unit-diagonal and correction arrows. The second
     copy's ids follow the first's, in the same order.
 
-    The arrows go straight into the complex, as none needs canceling or
-    dropping: each color joins its own pairs of copies (black x to x, red
-    y to y, blue y to x, green x to y), so no two coincide; the y names
-    are the x names under a new prefix; and a green monomial is
-    U^(a-1) V^(b-1) with a, b >= 2, as smaller terms raise first, so no
-    arrow is a unit or a self-loop and none vanishes over the full ring."""
-    count = len(lifted.generators)
-    colors: dict[Arrow, str] = {}
-    for x, mono, y in differential_square(lift_to(lifted, RINF)):
-        if mono.min_exp <= 1:
-            raise ConstructionError(
-                f"input is not a chain complex over the level-2 ring: "
-                f"d^2 has the term {mono} from {x} to {y}"
-            )
-        colors[Arrow(x, Monomial.of(mono.u - 1, mono.v - 1), count + y)] = GREEN
-
-    y_gens = tuple(
-        Generator("y" + g.name.removeprefix("x"), g.grading.shifted(-1, -1))
-        for g in lifted.generators
-    )
-
-    # The rest of the doubled complex's arrows, with their colors.
-    for a in lifted.arrows:
-        colors[a] = BLACK
-        colors[Arrow(count + a.source, a.monomial, count + a.target)] = RED
-    for gid in range(count):
-        colors[Arrow(count + gid, Monomial.of(1, 1), gid)] = BLUE
-
-    return BasedComplex(RINF, lifted.generators + y_gens, frozenset(colors), colors)
+    No src/ caller: ``glue`` reads the same arrows without building this
+    complex. It is the tests' reference, and perfbench/tracer.py binds it."""
+    colors = {Arrow(s, mono, t): color for s, mono, t, color in _doubled_arrows(lifted)}
+    return BasedComplex(RINF, _doubled_generators(lifted), frozenset(colors), colors)
 
 
-def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
-    """Merge the two extension endpoints into one far-away generator z.
+def glue(lifted: BasedComplex, seq: SignSequence) -> BasedComplex:
+    """Double the level-2 lift of ``seq``'s extension and merge the two
+    extension endpoints into one far-away generator z, in one pass.
 
-    Every arrow keeps its endpoints, with both dropped generators replaced
-    by z, and its monomial is its source's place less its target's on
+    Each arrow that ``double`` would make is placed once, as it is read:
+    it keeps its endpoints, with both dropped generators replaced by z, and
+    its monomial is its source's place less its target's on
     ``staircase(seq)``, which reads the places off the sequence. Every
-    arrow ``double`` makes already lies there; a forced filler arrow does
-    because it closes a square with a placed path and a placed link. x_-1
-    is placed at the head copy of z and x_2n+1 at the tail copy, |s|
-    diagonal steps apart for the offset s; y_-1 and y_2n+1 move next to
-    them. The arrows are read in any order: a repeated arrow cancels in
-    pairs, and the first arrow met off the staircase raises.
+    doubled arrow already lies there; a forced filler arrow does because it
+    closes a square with a placed path and a placed link. x_-1 is placed at
+    the head copy of z and x_2n+1 at the tail copy, |s| diagonal steps
+    apart for the offset s; y_-1 and y_2n+1 move next to them. The arrows
+    are read in any order: a repeated arrow cancels in pairs, and the first
+    arrow met whose places force a negative or a zero exponent pair raises.
+    An arrow's own monomial is not compared with its places.
 
-    Raises ConstructionError when the complex is not the size of ``seq``'s.
+    Raises ConstructionError when the lift is not the size of ``seq``'s, or
+    is not a chain complex over the level-2 ring.
     """
     s = glue_offset(seq)
     place = staircase(seq)
-    if len(place) != len(complex.generators):
+    count = len(lifted.generators)
+    if len(place) != 2 * count:
         raise ConstructionError(
             f"the doubled extension of {seq} has {len(place)} generators, "
-            f"not {len(complex.generators)}"
+            f"not {2 * count}"
         )
 
     # ``double`` numbers x_-1 .. x_2n+1 from 0 and y_-1 .. y_2n+1 after them.
-    count = len(complex.generators) // 2
     x_first, x_last, x_top = 0, count - 1, count - 2
     y_first, y_last, y0, y_top = count, 2 * count - 1, count + 1, 2 * count - 2
     core = [*range(1, count - 1), *range(count + 1, 2 * count - 1)]
@@ -166,38 +189,39 @@ def glue(complex: BasedComplex, seq: SignSequence) -> BasedComplex:
     place[y_last] = (tail[0], place[y_top][1])
     place[x_first], place[x_last] = head, tail
 
-    keep = [*range(1, count - 1), *range(count, 2 * count)]
-    new_id = {old: new for new, old in enumerate(keep)}
-    new_id[x_first] = new_id[x_last] = len(keep)  # z
+    # Kept generators are x_0 .. x_2n, then every y; z comes last.
+    z = 2 * count - 2
+    new_id = [z, *range(count - 2), z, *range(count - 2, z)]
 
     # When the offset is zero and one source reaches both endpoints, its two
     # z-arrows coincide and cancel, x + x = 0 over F2; the chain and degree
     # checks below still have to pass.
     new_colors: dict[Arrow, str] = {}
-    colors = complex.colors
-    for a in complex.arrows:
-        source, _, target = a
+    monomials = _MONOMIALS
+    for source, mono, target, color in _doubled_arrows(lifted):
         if source == x_first or source == x_last:
-            raise InternalError(f"unexpected arrow out of a dropped endpoint: {a}")
+            raise InternalError(
+                f"unexpected arrow out of a dropped endpoint: {Arrow(source, mono, target)}"
+            )
         (sc, sr), (tc, tr) = place[source], place[target]
         du, dv = sc - tc, sr - tr
         if du < 0 or dv < 0 or not (du or dv):
             raise InternalError(f"placement forces exponents ({du}, {dv})")
-        arrow = Arrow(new_id[source], Monomial.of(du, dv), new_id[target])
+        arrow = Arrow(new_id[source], monomials[du, dv], new_id[target])
         if new_colors.pop(arrow, None) is None:
-            new_colors[arrow] = colors.get(a) or BLACK
+            new_colors[arrow] = color
 
-    generators = complex.generators
+    generators = _doubled_generators(lifted)
 
     def forced_grading(source: int, target: int) -> Grading:
-        # An arrow of the complex, whose exponents the loop has checked.
+        # A doubled arrow, whose exponents the loop has checked.
         g, (sc, sr), (tc, tr) = generators[source].grading, place[source], place[target]
         return Grading(g.gu + 2 * (sc - tc) - 1, g.gv + 2 * (sr - tr) - 1)
 
     # Kept generators are kept as they are; the moved pair and z take the
     # gradings the degree equation forces along y0 -> y_-1, y_2n -> y_2n+1
     # and x_2n -> x_2n+1.
-    gens = [generators[g] for g in keep]
+    gens = [*generators[1:x_last], *generators[y_first:]]
     for moved, source in ((y_first, y0), (y_last, y_top)):
         gens[new_id[moved]] = Generator(generators[moved].name, forced_grading(source, moved))
     gens.append(Generator("z", forced_grading(x_top, x_last)))
@@ -224,7 +248,7 @@ def realize(seq: SignSequence) -> BasedComplex | NotRealizable:
         # An obstruction: decide again, building the outcome the caller reads.
         return decide(seq)
 
-    glued = glue(double(extend_and_realize(seq).complex), seq)
+    glued = glue(extend_and_realize(seq).complex, seq)
     if not has_correct_homology(glued):
         raise InternalError(f"realization of {seq} has the wrong homology")
     return glued

@@ -87,10 +87,6 @@ class Monomial(_MonomialFields):
     def min_exp(self) -> int:
         return min(self.u, self.v)
 
-    @property
-    def is_horizontal(self) -> bool:
-        return self.v == 0 and self.u > 0
-
     def __str__(self) -> str:
         return f"U^{self.u}V^{self.v}"
 

@@ -12,7 +12,17 @@ from json.encoder import encode_basestring_ascii as quote
 from typing import Any
 
 from .errors import ConstructionError, DocumentError, SequenceParseError
-from .rings import R1, R2, RINF, Arrow, BasedComplex, Generator, Grading, Monomial
+from .rings import (
+    _MONOMIALS,
+    R1,
+    R2,
+    RINF,
+    Arrow,
+    BasedComplex,
+    Generator,
+    Grading,
+    Monomial,
+)
 from .standard import ExtendedSignSequence, SignSequence
 
 RING_NAMES = {ring: str(ring) for ring in (R1, R2, RINF)}
@@ -155,8 +165,9 @@ def parse_document(doc: Any) -> BasedComplex:
     colors: dict[Arrow, str] = {}
     loop = None
     for i, entry in enumerate(_as_list(doc["arrows"], "arrows")):
-        if not isinstance(entry, dict) or (
-            (keys := entry.keys()) != _ARROW_FIELDS and keys != _COLORED_ARROW_FIELDS
+        # Only the field set of the entry's size can match it.
+        if not isinstance(entry, dict) or entry.keys() != (
+            _ARROW_FIELDS if len(entry) == 4 else _COLORED_ARROW_FIELDS
         ):
             raise _fields_error(entry, _ARROW_FIELDS, f"arrow {i}", {"color"})
         u = entry["u"]
@@ -180,10 +191,12 @@ def parse_document(doc: Any) -> BasedComplex:
                 f"arrow {i}: monomial {Monomial(u, v)} is zero in {doc['ring']}"
             )
         # u and v are checked nonnegative ints, so the interned lookup is safe.
-        arrow = Arrow(source, Monomial.of(u, v), target)
-        if arrow in arrows:
-            raise DocumentError(f"arrow {i}: duplicate of an earlier arrow")
+        arrow = Arrow(source, _MONOMIALS[u, v], target)
+        # Hashed once: arrows 0 .. i - 1 are distinct, so a duplicate leaves
+        # the set at size i.
         arrows.add(arrow)
+        if len(arrows) == i:
+            raise DocumentError(f"arrow {i}: duplicate of an earlier arrow")
         if source == target and loop is None:
             loop = arrow
         if "color" in entry:

@@ -257,6 +257,10 @@ def is_diagonal(mono: Monomial) -> bool:
     return mono.u > 0 and mono.v > 0
 
 
+def is_horizontal(mono: Monomial) -> bool:
+    return mono.v == 0 and mono.u > 0
+
+
 def is_vertical(mono: Monomial) -> bool:
     return mono.u == 0 and mono.v > 0
 

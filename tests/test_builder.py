@@ -24,8 +24,15 @@ from tunnelfill import (
     realize,
     serialize,
 )
-from tunnelfill import builder, lattice, standard
-from tunnelfill.builder import double, extend_and_realize, glue, glue_offset, staircase
+from tunnelfill import builder, lattice, rings, standard
+from tunnelfill.builder import (
+    double,
+    extend_and_realize,
+    extension_length,
+    glue,
+    glue_offset,
+    staircase,
+)
 from tunnelfill.census import census_sequences
 from tunnelfill.filler import partial_realize
 from tunnelfill.homology import has_correct_homology
@@ -305,36 +312,80 @@ class TestGluing:
         # glue places each arrow of the doubled complex once; an arrow placed
         # twice is x + x = 0 and leaves the glued complex, color and all.
         seq = SignSequence(entries)
-        doubled = double(extend_and_realize(seq).complex)
-        glued = glue(doubled, seq)
-        assert len(doubled.arrows) == placed
+        lifted = extend_and_realize(seq).complex
+        glued = glue(lifted, seq)
+        assert len(double(lifted).arrows) == placed
         assert len(glued.generators) == 9
         assert len(glued.arrows) == kept
         assert glued.colors.keys() == glued.arrows
         assert differential_square(glued) == ()
 
+    @staticmethod
+    def glue_with(seq, source, monomial, target):
+        """Glue the lift of ``seq`` with one more arrow planted in it, the
+        ends named."""
+        lifted = extend_and_realize(seq).complex
+        planted = Arrow(id_of(lifted, source), monomial, id_of(lifted, target))
+        return glue(make_complex(R2, lifted.generators, [*lifted.arrows, planted]), seq)
+
     def test_arrow_off_the_placement_is_refused(self):
-        # A second y2 -> x2 arrow one diagonal step longer than the blue one
-        # has no planar place; reading its monomial off the placement makes
-        # it collide with the blue arrow, and the output checks refuse that.
-        c = double(extend_and_realize(EXAMPLE).complex)
-        y2, x2 = id_of(c, "y2"), id_of(c, "x2")
-        shifted = make_complex(
-            RINF, c.generators, [*c.arrows, Arrow(y2, Monomial(2, 2), x2)], c.colors
-        )
-        with pytest.raises(InternalError):
-            glue(shifted, EXAMPLE)
+        # x3 -> U V^2 x5 adds no low d^2 term, but x5 is placed one column
+        # right of x3 and one row below it. Its black and red copies read the
+        # same place difference, so the arrow met first does not matter.
+        with pytest.raises(InternalError, match=r"^placement forces exponents \(-1, 1\)$"):
+            self.glue_with(EXAMPLE, "x3", Monomial(1, 2), "x5")
 
     def test_an_arrow_against_the_placement_is_refused(self):
-        # x2 -> UV y2 runs against the blue y2 -> UV x2: the placement puts
-        # y2 above and right of x2, so the arrow's exponents come out negative.
-        c = double(extend_and_realize(EXAMPLE).complex)
-        x2, y2 = id_of(c, "x2"), id_of(c, "y2")
-        reversed_blue = make_complex(
-            RINF, c.generators, [*c.arrows, Arrow(x2, Monomial(1, 1), y2)], c.colors
-        )
-        with pytest.raises(InternalError, match=r"^placement forces exponents \(-1, -1\)$"):
-            glue(reversed_blue, EXAMPLE)
+        # x0 -> UV x4 runs against the placement, which puts x4 one column
+        # right of x0 and on its row, so the arrow's U exponent comes out
+        # negative.
+        with pytest.raises(InternalError, match=r"^placement forces exponents \(-1, 0\)$"):
+            self.glue_with(EXAMPLE, "x0", Monomial(1, 1), "x4")
+
+    def test_an_arrow_the_degree_check_refuses(self):
+        # x3 -> U x1 is placed at U^2 V, the monomial of the path
+        # x3 -> U^2 x2 -> V x1: one arrow where the degree equation needs two.
+        with pytest.raises(
+            InternalError,
+            match=r"^glued complex breaks the degree equation at "
+            r"\[Arrow\(source=3, monomial=Monomial\(u=2, v=1\), target=1\), ",
+        ):
+            self.glue_with(EXAMPLE, "x3", Monomial(1, 0), "x1")
+
+    def test_an_arrow_out_of_a_dropped_endpoint_is_refused(self):
+        # x_-1 only receives arrows in a lift; z, which replaces it, too.
+        with pytest.raises(
+            InternalError,
+            match=r"^unexpected arrow out of a dropped endpoint: 0 -> U\^2V\^0 2$",
+        ):
+            self.glue_with(EXAMPLE, "x-1", Monomial(2, 0), "x1")
+
+    def test_a_lift_that_is_not_a_chain_complex_is_refused(self):
+        # The extended chain before the filler adds its arrows: over R2 its
+        # d^2 keeps the term x3 -> U^2 V x1, which no correction can cancel.
+        n = extension_length(EXAMPLE)
+        chain = lift_to(build_extended(ExtendedSignSequence(n, EXAMPLE, -n)), R2)
+        with pytest.raises(
+            ConstructionError,
+            match=r"^input is not a chain complex over the level-2 ring: "
+            r"d\^2 has the term U\^2V\^1 from 4 to 2$",
+        ):
+            glue(chain, EXAMPLE)
+
+    def test_doubled_arrows_without_their_corrections_are_refused(self, monkeypatch):
+        # Every doubled arrow but the green ones lies on the staircase and
+        # meets the degree equation, so only glue's d^2 check sees the
+        # terms the corrections were there to cancel.
+        doubled_arrows = builder._doubled_arrows
+
+        def without_green(lifted):
+            return (a for a in doubled_arrows(lifted) if a[3] != builder.GREEN)
+
+        lifted = extend_and_realize(EXAMPLE).complex
+        assert any(a[3] == builder.GREEN for a in doubled_arrows(lifted))
+        monkeypatch.setattr(builder, "_doubled_arrows", without_green)
+        with pytest.raises(InternalError, match=r"^glued complex has nonzero d\^2$"):
+            glue(lifted, EXAMPLE)
 
 
 class TestStaircase:
@@ -367,9 +418,10 @@ class TestStaircase:
 
     @pytest.mark.parametrize("other", [(2, 2), EXAMPLE.entries + (1, -1)])
     def test_a_complex_of_another_sequence_length_is_refused(self, other):
-        doubled = double(extend_and_realize(EXAMPLE).complex)
+        # The 9-generator lift of EXAMPLE doubles to 18 generators.
+        lifted = extend_and_realize(EXAMPLE).complex
         with pytest.raises(ConstructionError, match="generators, not 18$"):
-            glue(doubled, SignSequence(other))
+            glue(lifted, SignSequence(other))
 
 
 class TestRealize:
@@ -399,6 +451,22 @@ class TestRealize:
         assert digest.hexdigest() == (
             "61e0eae484c4e263a38e997b96e210816e8951d2274aff8b85d9cec1b78b9e04"
         )
+
+    @pytest.mark.parametrize("entries", [EXAMPLE.entries, (1, -1), MIRRORED_LADDER])
+    def test_realize_builds_the_chain_and_the_glued_complex(self, monkeypatch, entries):
+        # The extended chain over R1, then the glued complex over the full
+        # ring: the doubled complex is never built.
+        built = []
+        init = rings.BasedComplex.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rings.BasedComplex, "__init__", counting)
+        glued = realize(SignSequence(entries))
+        assert not isinstance(glued, NotRealizable)
+        assert built == [R1, RINF]
 
     def test_paper_verdicts(self):
         assert not isinstance(realize(SignSequence((1, -1, 3, -2))), NotRealizable)

@@ -482,7 +482,8 @@ class TestTheFirstGenerator:
 
         def recording(links, gid, horizontal):
             if gid == 0:
-                sought.append(links[0].monomial.is_horizontal == horizontal)
+                # A link is never a unit arrow, so no V means horizontal.
+                sought.append((not links[0].monomial.v) == horizontal)
             return unique_adjacent(links, gid, horizontal)
 
         monkeypatch.setattr(filler, "_unique_adjacent", recording)

@@ -403,6 +403,16 @@ MALFORMED = {
         "arrow 0 is missing fields ['v']"),
     "arrow_unknown_field": (_mutated(_set(["arrows", 0, "weight"], 1)), DocumentError,
         "arrow 0 has unknown fields ['weight']"),
+    # Five fields but no color, four with a color: each is read against the
+    # field set of its size, and named against both.
+    "arrow_five_fields_without_color": (_mutated(_set(["arrows", 1, "colour"], "red")),
+        DocumentError, "arrow 1 has unknown fields ['colour']"),
+    "arrow_color_without_v": (
+        _mutated(_both(_delete(["arrows", 1, "v"]), _arrow(1, color="red"))),
+        DocumentError, "arrow 1 is missing fields ['v']"),
+    "arrow_color_and_unknown_field": (
+        _mutated(_arrow(0, color="red", weight=1)), DocumentError,
+        "arrow 0 has unknown fields ['weight']"),
     "u_negative": (_mutated(_arrow(0, u=-1)), DocumentError,
         "arrow 0: u must be a nonnegative integer"),
     "v_bool": (_mutated(_arrow(0, v=False)), DocumentError,

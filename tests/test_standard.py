@@ -22,6 +22,7 @@ from tunnelfill.standard import _GENERATORS, _STEPS, _chain, build_extended, cha
 from conftest import (
     candidate_monomial,
     id_of,
+    is_horizontal,
     is_vertical,
     named_arrows,
     nonzero_ints,
@@ -172,11 +173,11 @@ class TestStandardInvariants:
                 incident = [
                     a for a in c.arrows if a.source == gid or a.target == gid
                 ]
-                assert sum(1 for a in incident if a.monomial.is_horizontal) <= 1
+                assert sum(1 for a in incident if is_horizontal(a.monomial)) <= 1
                 assert sum(1 for a in incident if is_vertical(a.monomial)) <= 1
             # links[j] joins ids j and j + 1, and the kinds alternate, so a
             # generator's two links are one horizontal and one vertical.
-            kinds = [a.monomial.is_horizontal for a in c.links]
+            kinds = [is_horizontal(a.monomial) for a in c.links]
             for j, a in enumerate(c.links):
                 assert {a.source, a.target} == {j, j + 1}
                 assert is_vertical(a.monomial) != kinds[j]
