@@ -49,6 +49,7 @@ from .rings import (
     Generator,
     Grading,
     Monomial,
+    _new_arrow,
     degree_violations,
     differential_square,
     lift_to,
@@ -160,8 +161,9 @@ def glue(lifted: BasedComplex, seq: SignSequence) -> BasedComplex:
     the head copy of z and x_2n+1 at the tail copy, |s| diagonal steps
     apart for the offset s; y_-1 and y_2n+1 move next to them. The arrows
     are read in any order: a repeated arrow cancels in pairs, and the first
-    arrow met whose places force a negative or a zero exponent pair raises.
-    An arrow's own monomial is not compared with its places.
+    arrow met whose places force a negative or a zero exponent pair raises,
+    as does the first whose own monomial differs from its places while it
+    touches none of the four moved generators.
 
     Raises ConstructionError when the lift is not the size of ``seq``'s, or
     is not a chain complex over the level-2 ring.
@@ -193,6 +195,10 @@ def glue(lifted: BasedComplex, seq: SignSequence) -> BasedComplex:
     z = 2 * count - 2
     new_id = [z, *range(count - 2), z, *range(count - 2, z)]
 
+    # An arrow keeps its monomial unless it touches one of these, whose
+    # places were just moved.
+    moved = {x_first, x_last, y_first, y_last}
+
     # When the offset is zero and one source reaches both endpoints, its two
     # z-arrows coincide and cancel, x + x = 0 over F2; the chain and degree
     # checks below still have to pass.
@@ -207,7 +213,12 @@ def glue(lifted: BasedComplex, seq: SignSequence) -> BasedComplex:
         du, dv = sc - tc, sr - tr
         if du < 0 or dv < 0 or not (du or dv):
             raise InternalError(f"placement forces exponents ({du}, {dv})")
-        arrow = Arrow(new_id[source], monomials[du, dv], new_id[target])
+        placed = monomials[du, dv]
+        if placed != mono and source not in moved and target not in moved:
+            raise InternalError(
+                f"arrow {Arrow(source, mono, target)} is placed at {placed}"
+            )
+        arrow = _new_arrow((new_id[source], placed, new_id[target]))
         if new_colors.pop(arrow, None) is None:
             new_colors[arrow] = color
 

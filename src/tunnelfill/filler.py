@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, InternalError
-from .rings import _MONOMIALS, R2, Arrow, BasedComplex, Term, insert_arrows
+from .rings import _MONOMIALS, R2, Arrow, BasedComplex, Term, _new_arrow, insert_arrows
 from .standard import ExtendedSignSequence, SignSequence, build_extended, build_standard
 
 # A two-arrow path, first arrow then second.
@@ -178,10 +178,10 @@ def forced_response(
             if rest > 0:
                 new_mono = _MONOMIALS[rest, 1] if horizontal else _MONOMIALS[1, rest]
                 if pivot_is_target:
-                    added = Arrow(x, new_mono, adjacent.source)
+                    added = _new_arrow((x, new_mono, adjacent.source))
                     tag = "horizontal-first" if horizontal else "vertical-first"
                 else:
-                    added = Arrow(adjacent.target, new_mono, y)
+                    added = _new_arrow((adjacent.target, new_mono, y))
                     tag = "horizontal-second" if horizontal else "vertical-second"
                 return ForcedArrowEvent(cause, tag, added)
             reason = INSUFFICIENT_LENGTH

@@ -220,7 +220,12 @@ def _isomorphism(gradings1, arrows1, gradings2, arrows2):
         colour, a, b = stack.pop()
         colour = list(colour)
         if a < 0:
-            pending = list(range(len(names)))
+            # When the gradings are distinct, every cell is already a pair: a
+            # leaf of the search, which needs no refinement. Refining could
+            # only split a pair, which unbalances it, or leave it, and either
+            # outcome matches whether the grading pairing carries arrows onto
+            # arrows, which the image check below decides.
+            pending = list(range(len(names))) if len(names) < n else []
         else:
             if not budget:
                 raise SearchBudgetError(
@@ -229,7 +234,7 @@ def _isomorphism(gradings1, arrows1, gradings2, arrows2):
             budget -= 1
             colour[a] = colour[b] = max(colour) + 1
             pending = [colour[a]]
-        if not _refine(links, n, colour, pending):
+        if pending and not _refine(links, n, colour, pending):
             continue
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colour):
@@ -241,11 +246,11 @@ def _isomorphism(gradings1, arrows1, gradings2, arrows2):
             stack += [(colour, cell[0], b) for b in reversed(cell[len(cell) // 2 :])]
             continue
         image = dict(sorted((x, y - n) for x, y in cells.values()))
-        # A refinement that leaves only pairs is discrete and equitable, so
-        # the pairing already carries arrows onto arrows, and this check
-        # never fails while _refine is right. It stays as the guard that
-        # makes a faulty refinement or pruning cost completeness, never
-        # soundness.
+        # After a refinement that leaves only pairs, which is discrete and
+        # equitable, the pairing already carries arrows onto arrows. But a
+        # colouring that starts discrete is never refined, and this check
+        # alone decides it. It also makes a faulty refinement or pruning
+        # cost completeness, never soundness.
         if {(image[s], u, v, image[t]) for s, u, v, t in arrows1} == targets:
             return image
     return None

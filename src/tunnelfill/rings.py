@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import (
@@ -115,12 +116,17 @@ class _Interned(dict):
 _MONOMIALS = _Interned(Monomial)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Grading:
     """Bigrading (gr_U, gr_V); U has degree (-2, 0), V has (0, -2)."""
 
     gu: int
     gv: int
+
+    def __init__(self, gu: int, gv: int):
+        # Written out, as in BasedComplex: each slot's descriptor sets it.
+        _set_gu(self, gu)
+        _set_gv(self, gv)
 
     def shifted(self, du: int, dv: int) -> "Grading":
         return Grading(self.gu + du, self.gv + dv)
@@ -138,10 +144,24 @@ class Arrow(NamedTuple):
         return f"{self.source} -> {self.monomial} {self.target}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
+# Arrow from one (source, monomial, target) tuple, unchecked, without the
+# named tuple's Python-level __new__; for the loops that build one per entry.
+_new_arrow = partial(tuple.__new__, Arrow)
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Generator:
     name: str
     grading: Grading
+
+    def __init__(self, name: str, grading: Grading):
+        # Written out, as in Grading: each slot's descriptor sets it.
+        _set_name(self, name)
+        _set_grading(self, grading)
+
+
+_set_gu, _set_gv = Grading.gu.__set__, Grading.gv.__set__
+_set_name, _set_grading = Generator.name.__set__, Generator.grading.__set__
 
 
 # One F2 term of d^2: (source id, monomial, target id).
@@ -163,9 +183,10 @@ class _Adjacency:
     def __get__(self, complex, owner=None) -> dict[int, list[Arrow]]:
         if complex is None:
             return self
+        end = self.end
         index: dict[int, list[Arrow]] = {}
         for a in complex.arrows:
-            index.setdefault(a[self.end], []).append(a)
+            index.setdefault(a[end], []).append(a)
         complex.__dict__[self.name] = index
         return index
 
@@ -287,8 +308,9 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
     """
     out = complex.outgoing
     level = complex.ring.level
-    monomials = _MONOMIALS
-    terms: set[Term] = set()
+    # Keyed by the flat (source, u, v, target), whose order is the terms'
+    # order, since monomials order by (u, v); only survivors get a Monomial.
+    terms: set[tuple[int, int, int, int]] = set()
     paths = 0
     for s, (u1, v1), t in complex.arrows:
         seconds = out.get(t, ())
@@ -299,12 +321,13 @@ def differential_square(complex: BasedComplex) -> tuple[Term, ...]:
             u, v = u1 + u2, v1 + v2
             if u < level or v < level:
                 # A term reached an even number of times cancels over F2.
-                term = (s, monomials[u, v], target)
+                term = (s, u, v, target)
                 if term in terms:
                     terms.remove(term)
                 else:
                     terms.add(term)
-    return tuple(sorted(terms))
+    monomials = _MONOMIALS
+    return tuple([(s, monomials[u, v], t) for s, u, v, t in sorted(terms)])
 
 
 def degree_violations(complex: BasedComplex) -> list[Arrow]:

@@ -22,6 +22,7 @@ from .rings import (
     Generator,
     Grading,
     Monomial,
+    _new_arrow,
 )
 from .standard import ExtendedSignSequence, SignSequence
 
@@ -191,7 +192,7 @@ def parse_document(doc: Any) -> BasedComplex:
                 f"arrow {i}: monomial {Monomial(u, v)} is zero in {doc['ring']}"
             )
         # u and v are checked nonnegative ints, so the interned lookup is safe.
-        arrow = Arrow(source, _MONOMIALS[u, v], target)
+        arrow = _new_arrow((source, _MONOMIALS[u, v], target))
         # Hashed once: arrows 0 .. i - 1 are distinct, so a duplicate leaves
         # the set at size i.
         arrows.add(arrow)

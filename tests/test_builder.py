@@ -343,14 +343,57 @@ class TestGluing:
             self.glue_with(EXAMPLE, "x0", Monomial(1, 1), "x4")
 
     def test_an_arrow_the_degree_check_refuses(self):
-        # x3 -> U x1 is placed at U^2 V, the monomial of the path
-        # x3 -> U^2 x2 -> V x1: one arrow where the degree equation needs two.
+        # x3 -> U x-1 touches a moved generator, so glue keeps it at its
+        # places: U^7 V^6 into the head copy of z, whose grading the degree
+        # equation forces along another arrow.
         with pytest.raises(
             InternalError,
             match=r"^glued complex breaks the degree equation at "
-            r"\[Arrow\(source=3, monomial=Monomial\(u=2, v=1\), target=1\), ",
+            r"\[Arrow\(source=3, monomial=Monomial\(u=7, v=6\), target=16\), ",
         ):
-            self.glue_with(EXAMPLE, "x3", Monomial(1, 0), "x1")
+            self.glue_with(EXAMPLE, "x3", Monomial(1, 0), "x-1")
+
+    @pytest.mark.parametrize(
+        "source, monomial, target, message",
+        [
+            # Placed at U, where it would cancel the link x0 -> U x1.
+            ("x0", Monomial(2, 1), "x1", r"1 -> U\^2V\^1 2 is placed at U\^1V\^0"),
+            # Placed at U^2 V, the monomial of the path x3 -> U^2 x2 -> V x1.
+            ("x3", Monomial(1, 0), "x1", r"4 -> U\^1V\^0 2 is placed at U\^2V\^1"),
+        ],
+    )
+    def test_an_arrow_off_its_own_places_is_refused(self, source, monomial, target, message):
+        with pytest.raises(InternalError, match=rf"^arrow {message}$"):
+            self.glue_with(EXAMPLE, source, monomial, target)
+
+    def test_every_planted_arrow_glue_accepts_touches_a_moved_generator(self):
+        # Every absent arrow with exponents below 8 that is nonzero over R2,
+        # planted alone in the lift. glue compares the monomial of each arrow
+        # that touches none of x_-1, x_2n+1, y_-1 and y_2n+1 with its
+        # places, so the ones it accepts end at x_-1 or x_2n+1, and only
+        # realize's homology guard refuses them.
+        lifted = extend_and_realize(EXAMPLE).complex
+        count = len(lifted.generators)
+        moved = {0, count - 1}
+        planted = [
+            Arrow(s, Monomial(u, v), t)
+            for s in range(count)
+            for t in range(count)
+            for u in range(8)
+            for v in range(8)
+            if s != t and (u or v) and min(u, v) < 2
+        ]
+        planted = [a for a in planted if a not in lifted.arrows]
+        accepted = []
+        for arrow in planted:
+            try:
+                glued = glue(make_complex(R2, lifted.generators, [*lifted.arrows, arrow]), EXAMPLE)
+            except (ConstructionError, InternalError):
+                continue
+            accepted.append(arrow)
+            assert {arrow.source, arrow.target} & moved, arrow
+            assert not has_correct_homology(glued), arrow
+        assert (len(planted), len(accepted)) == (1933, 39)
 
     def test_an_arrow_out_of_a_dropped_endpoint_is_refused(self):
         # x_-1 only receives arrows in a lift; z, which replaces it, too.

@@ -166,6 +166,33 @@ class TestSymmetry:
             verdicts[witness is not None] += 1
         assert min(verdicts.values()) > 3000
 
+    def test_distinct_gradings_are_decided_by_the_image_check_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a discrete colouring was refined")
+
+        monkeypatch.setattr(homology, "_refine", refuse)
+        # x -> UV w on four distinct, swap-symmetric gradings: the grading
+        # pairing sends x to y and w to w', but y -> UV w' is absent.
+        gens = (
+            Generator("x", Grading(1, 0)),
+            Generator("y", Grading(0, 1)),
+            Generator("w", Grading(2, 1)),
+            Generator("w'", Grading(1, 2)),
+        )
+        lopsided = make_complex(RINF, gens, [Arrow(0, Monomial(1, 1), 2)])
+        assert degree_violations(lopsided) == []
+        assert not symmetric_by_brute_force(lopsided)
+        assert check_symmetry(lopsided) is None
+        balanced = make_complex(
+            RINF, gens, [Arrow(0, Monomial(1, 1), 2), Arrow(1, Monomial(1, 1), 3)]
+        )
+        assert check_symmetry(balanced) == {0: 1, 1: 0, 2: 3, 3: 2}
+        # A realization whose 13 generators have distinct gradings.
+        glued = realize(SignSequence((-1, 2, -2, 1)))
+        assert len({g.grading for g in glued.generators}) == len(glued.generators) == 13
+        witness = check_symmetry(glued)
+        assert is_based_isomorphism(glued, conjugate(glued), witness)
+
     def test_palindromic_antisymmetry_matches_the_search(self):
         # Observed closed form on the small census: symmetric exactly when
         # a_i = -a_{2n+1-i}; the search is authoritative, this documents it.

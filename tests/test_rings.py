@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 import time
 
@@ -19,10 +22,12 @@ from tunnelfill import (
     SignSequence,
     UnknownGeneratorError,
     build_standard,
+    decide,
     degree_violations,
     differential_square,
     parse,
     realize,
+    serialize,
 )
 from tunnelfill import rings
 from tunnelfill.rings import (
@@ -260,6 +265,27 @@ class TestDifferentialSquare:
         # Enough draws with a surviving term that a wrong one would show.
         assert nonzero > 2000
 
+    def test_terms_are_interned_monomial_triples_in_sorted_order(self):
+        # On the random documents of test_homology's TestSymmetry and on a
+        # star, whose d^2 has 1,024 terms. A plain (u, v) tuple would compare
+        # equal to its Monomial, so the types are checked one by one.
+        rng = random.Random(7)
+        complexes = [star(32)]
+        for _ in range(10000):
+            drawn = random_degree_valid_complex(rng)
+            for ring in (R2, RINF):
+                complexes.append(make_complex(ring, drawn.generators, drawn.arrows))
+        count = 0
+        for complex in complexes:
+            square = differential_square(complex)
+            for s, mono, t in square:
+                assert type(s) is int and type(t) is int
+                assert type(mono) is Monomial
+                assert mono is Monomial.of(mono.u, mono.v)
+            assert list(square) == sorted(square)
+            count += len(square)
+        assert count > 5000
+
     @given(based_complexes())
     def test_terms_come_out_sorted_whatever_the_arrow_order(self, complex):
         lifted = lift_to(complex, RINF)
@@ -323,6 +349,66 @@ def star(k):
     arrows = [Arrow(1 + i, Monomial(0, 1), 0) for i in range(k)]
     arrows += [Arrow(0, Monomial(0, 1), 1 + k + j) for j in range(k)]
     return make_complex(RINF, gens, arrows)
+
+
+class TestValueTypes:
+    """The contract of the written-out Grading and Generator constructors
+    and of the arrows the hot paths build without Arrow's own __new__."""
+
+    def test_grading_and_generator_are_frozen_slotted_values(self):
+        grading = Grading(1, 2)
+        generator = Generator("x1", grading)
+        for value, field in ((grading, "gu"), (generator, "name")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, None)
+            assert not hasattr(value, "__dict__")
+        assert (grading.gu, grading.gv) == (1, 2)
+        assert (generator.name, generator.grading) == ("x1", grading)
+        assert Grading(gu=1, gv=2) == grading == Grading(1, 2)
+        assert Generator(name="x1", grading=Grading(1, 2)) == generator
+        assert grading != Grading(2, 1) and generator != Generator("x2", grading)
+        assert hash(Grading(1, 2)) == hash(grading)
+        assert hash(Generator("x1", Grading(1, 2))) == hash(generator)
+        assert len({grading, Grading(1, 2), Grading(2, 1)}) == 2
+        assert sorted([Grading(1, 0), Grading(0, 5), Grading(0, -1)]) == [
+            Grading(0, -1), Grading(0, 5), Grading(1, 0)
+        ]
+        assert Generator("a", Grading(9, 9)) < Generator("b", Grading(0, 0))
+        assert Generator("a", Grading(0, 1)) < Generator("a", Grading(1, 0))
+        assert repr(grading) == "Grading(gu=1, gv=2)"
+        assert repr(generator) == "Generator(name='x1', grading=Grading(gu=1, gv=2))"
+        assert grading.shifted(-1, -1) == Grading(0, 1)
+
+    @pytest.mark.parametrize(
+        "value, changes, replaced",
+        [
+            (Grading(1, 2), {"gv": 7}, Grading(1, 7)),
+            (Generator("x1", Grading(1, 2)), {"name": "y"}, Generator("y", Grading(1, 2))),
+        ],
+    )
+    def test_copies_replacements_and_pickles_keep_the_value(self, value, changes, replaced):
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value) and other == value
+        other = dataclasses.replace(value, **changes)
+        assert type(other) is type(value) and other == replaced
+
+    def test_parse_glue_and_decide_build_true_arrows(self):
+        glued = realize(SignSequence((-1, 1, 2, -1, 1, 3)))
+        parsed = parse(serialize(glued, include_colors=True))
+        outcome = decide(SignSequence((-1, 1, 2, -1, 1, 3) * 2))
+        assert len(outcome.added) == 5
+        for arrows in (
+            glued.arrows,
+            glued.colors,
+            parsed.arrows,
+            parsed.colors,
+            outcome.complex.arrows,
+            [event.added for event in outcome.added],
+        ):
+            assert arrows
+            for arrow in arrows:
+                assert type(arrow) is Arrow and type(arrow.monomial) is Monomial
+                assert arrow == Arrow(*arrow) and str(arrow).count(" -> ") == 1
 
 
 class TestPathBudget:
